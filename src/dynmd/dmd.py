@@ -15,13 +15,20 @@ prox-then-clamp is exact for every box set; ball sets fall back to a
 projected-subgradient inner loop.  The prox is applied only on steps with
 t % reg_period == 0 (reg_period = 1 means every step).  COMID is the
 special case Phi = identity with reg_period = 1.
+
+A pool of trackers on one loss stream steps together (`advance`): the N
+predictions and gradients are stacked into (N, *shape) arrays, the
+gradient step, soft threshold and projection run once on the stack, and
+the models are applied by one ModelStack call.  dmd_step is the N = 1 case
+of that step, and every row of a pool step is computed with the same
+elementwise arithmetic as a lone step.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import IdentityModel
+from .dynamics import IdentityModel, ModelStack
 from .geometry import Ball
 
 
@@ -85,6 +92,86 @@ def _solve_inner(geom, fset, loss, g, theta_hat, eta, with_reg,
     return best
 
 
+class StepPlan:
+    """How a pool of DMD states takes its stacked step.
+
+    States that share geometry, feasible set, schedule and reg_period step
+    as one group; the models are applied by one ModelStack.  A step keeps
+    these parts of every state, so a plan built once serves every round.
+    """
+
+    def __init__(self, states):
+        states = tuple(states)
+        self.names = tuple(f"expert {i} ({s.model.label})"
+                           for i, s in enumerate(states))
+        members = {}
+        for i, s in enumerate(states):
+            key = (id(s.geom), id(s.fset), id(s.schedule), s.reg_period)
+            members.setdefault(key, []).append(i)
+        groups = []
+        for idx in members.values():
+            rows = slice(None) if len(members) == 1 else np.array(idx)
+            groups.append((states[idx[0]], rows,
+                           tuple(self.names[i] for i in idx)))
+        self.groups = tuple(groups)
+        self.models = ModelStack([s.model for s in states],
+                                 states[0].theta_hat.shape)
+
+
+def require_finite(stack, layer, t, names):
+    """Raise FloatingPointError naming the round, the first non-finite row of
+    the stack (names[i] names row i) and the layer that produced it."""
+    if not np.all(np.isfinite(stack)):
+        ok = np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
+        raise FloatingPointError(
+            f"non-finite {layer} at round t={t}, {names[int(np.argmin(ok))]}")
+
+
+def _step_size(state, loss, t):
+    """(eta_t, whether the round applies the l1 prox) for a state at round t."""
+    with_reg = t % state.reg_period == 0
+    return state.schedule.eta(t), with_reg and loss.r.tau > 0.0
+
+
+def _theta_tildes(state, loss, thetas, grads, t, names):
+    """Mirror-step targets of the stacked predictions of states that share
+    state's geometry, feasible set, schedule and reg_period."""
+    eta, needs_reg = _step_size(state, loss, t)
+    kappa = eta / (2.0 * state.geom.scale)
+    v = thetas - kappa * grads
+    require_finite(v, "step", t, names)
+    if isinstance(state.fset, Ball) and needs_reg:
+        # prox-then-project is not exact on balls; see module docstring
+        return np.stack([_solve_inner(state.geom, state.fset, loss, g, th, eta, True)
+                         for th, g in zip(thetas, grads)])
+    # without the l1 term the objective is c * ||theta - v||^2 + const,
+    # so projecting v is exact for any convex set; with it, prox-then-
+    # clamp is exact per coordinate on boxes
+    if needs_reg:
+        v = loss.prox_r(v, kappa)
+    return state.fset.project_stack(v)
+
+
+def advance(states, loss, thetas, grads, t, plan=None):
+    """Move every state one DMD step on the round-t loss; returns new states.
+
+    thetas is the (N, *shape) stack of the states' predictions and grads
+    the stack of f-gradients there.  plan defaults to StepPlan(states).
+    Non-finite gradients or steps raise FloatingPointError naming the
+    round, expert and layer.
+    """
+    if plan is None:
+        plan = StepPlan(states)
+    require_finite(grads, "gradient", t, plan.names)
+    tildes = np.empty_like(thetas)
+    for state, rows, names in plan.groups:
+        tildes[rows] = _theta_tildes(state, loss, thetas[rows], grads[rows],
+                                     t, names)
+    nexts = plan.models.apply(tildes, t)
+    return tuple(replace(s, theta_hat=nexts[i], theta_tilde=tildes[i], t=t + 1)
+                 for i, s in enumerate(states))
+
+
 def dmd_step(state, loss, t=None, diagnostics=False):
     """Advance one round; returns (new state, next prediction, diagnostics).
 
@@ -98,29 +185,10 @@ def dmd_step(state, loss, t=None, diagnostics=False):
         raise ValueError(f"step called with t={t} but state clock is {state.t}")
     theta_hat = state.theta_hat
     g = loss.f_gradient(theta_hat)
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError(f"non-finite loss gradient at step t={t}")
-    eta = state.schedule.eta(t)
-    kappa = eta / (2.0 * state.geom.scale)
-    with_reg = (t % state.reg_period == 0)
-    needs_reg = with_reg and loss.r.tau > 0.0
-    if isinstance(state.fset, Ball) and needs_reg:
-        # prox-then-project is not exact on balls; see module docstring
-        theta_tilde = _solve_inner(state.geom, state.fset, loss, g, theta_hat,
-                                   eta, with_reg)
-    else:
-        # without the l1 term the objective is c * ||theta - v||^2 + const,
-        # so projecting v is exact for any convex set; with it, prox-then-
-        # clamp is exact per coordinate on boxes
-        v = theta_hat - kappa * g
-        if needs_reg:
-            v = loss.prox_r(v, kappa)
-        theta_tilde = state.fset.project(v)
-    theta_next = state.model.apply(theta_tilde, t)
-    new_state = replace(state, theta_hat=theta_next, theta_tilde=theta_tilde,
-                        t=t + 1)
+    (new_state,) = advance((state,), loss, theta_hat[None], g[None], t)
     diag = None
     if diagnostics:
+        eta, needs_reg = _step_size(state, loss, t)
         subgrad = g + loss.r.subgradient(theta_hat)
         diag = {
             "t": t,
@@ -128,9 +196,10 @@ def dmd_step(state, loss, t=None, diagnostics=False):
             "prox_applied": needs_reg,
             "grad_norm": float(np.linalg.norm(np.ravel(g))),
             "subgrad_norm": float(np.linalg.norm(np.ravel(subgrad))),
-            "divergence_moved": state.geom.divergence(theta_tilde, theta_hat),
+            "divergence_moved": state.geom.divergence(new_state.theta_tilde,
+                                                      theta_hat),
         }
-    return new_state, theta_next, diag
+    return new_state, new_state.theta_hat, diag
 
 
 def comid_step(state, loss, t=None, diagnostics=False):

@@ -31,6 +31,15 @@ class DynamicalModel:
     def apply(self, theta, t=None):
         raise NotImplementedError
 
+    def source_index(self, size):
+        """Flat gather index of a model that only moves entries, or None.
+
+        Entry j of the output is entry index[j] of the flattened input, and
+        index[j] == size marks an output entry that is set to zero.  Models
+        that compute new values return None.
+        """
+        return None
+
     def __repr__(self):
         return f"{type(self).__name__}(label={self.label!r})"
 
@@ -43,6 +52,9 @@ class IdentityModel(DynamicalModel):
 
     def apply(self, theta, t=None):
         return np.array(theta, dtype=float, copy=True)
+
+    def source_index(self, size):
+        return np.arange(size)
 
 
 class PixelShift(DynamicalModel):
@@ -67,24 +79,27 @@ class PixelShift(DynamicalModel):
         self.cols = int(cols)
         self.boundary = boundary
         self.label, self.dr, self.dc = DIRECTIONS[direction]
+        # output pixel (i, j) reads input pixel (i - dr, j - dc)
+        r = np.arange(self.rows)[:, None] - self.dr
+        c = np.arange(self.cols)[None, :] - self.dc
+        size = self.rows * self.cols
+        if boundary == "wrap":
+            src = (r % self.rows) * self.cols + c % self.cols
+        else:
+            inside = (r >= 0) & (r < self.rows) & (c >= 0) & (c < self.cols)
+            src = np.where(inside, r * self.cols + c, size)
+        self._source = src.ravel()
+
+    def source_index(self, size):
+        if size != self.rows * self.cols:
+            raise ValueError(
+                f"point has {size} entries, grid needs {self.rows * self.cols}")
+        return self._source
 
     def apply(self, theta, t=None):
         theta = np.asarray(theta, dtype=float)
-        if theta.size != self.rows * self.cols:
-            raise ValueError(
-                f"point has {theta.size} entries, grid needs {self.rows * self.cols}")
-        img = theta.reshape(self.rows, self.cols)
-        if self.boundary == "wrap":
-            out = np.roll(img, (self.dr, self.dc), axis=(0, 1))
-        else:
-            out = np.zeros_like(img)
-            dr, dc = self.dr, self.dc
-            r_dst = slice(max(0, dr), self.rows + min(0, dr))
-            c_dst = slice(max(0, dc), self.cols + min(0, dc))
-            r_src = slice(max(0, -dr), self.rows + min(0, -dr))
-            c_src = slice(max(0, -dc), self.cols + min(0, -dc))
-            out[r_dst, c_dst] = img[r_src, c_src]
-        return out.reshape(theta.shape)
+        index = self.source_index(theta.size)
+        return np.append(theta.ravel(), 0.0)[index].reshape(theta.shape)
 
 
 class NetworkAttraction(DynamicalModel):
@@ -111,15 +126,54 @@ class NetworkAttraction(DynamicalModel):
             return theta.copy()
         p = theta.shape[0]
         prod = theta[:, None, :] * theta[None, :, :]
-        score = np.abs(prod)
         idx = np.arange(p)
-        score[idx, :, idx] = -1.0  # exclude c == a
-        score[:, idx, idx] = -1.0  # exclude c == b
-        cstar = score.argmax(axis=2)
-        best_abs = np.take_along_axis(score, cstar[..., None], axis=2)[..., 0]
+        prod[idx, :, idx] = 0.0  # exclude c == a
+        prod[:, idx, idx] = 0.0  # exclude c == b
+        # an excluded c scores 0, so argmax can only pick it when every
+        # candidate scores 0 too, and then |best| = 0 pulls nothing
+        cstar = np.abs(prod).argmax(axis=2)
         best = np.take_along_axis(prod, cstar[..., None], axis=2)[..., 0]
-        pull = best_abs > np.abs(theta)
+        pull = np.abs(best) > np.abs(theta)
         return np.where(pull, (1.0 - self.alpha) * theta + self.alpha * best, theta)
+
+
+class ModelStack:
+    """Applies one model per row to an (N, *shape) stack of points.
+
+    Row i of apply(thetas, t) equals models[i].apply(thetas[i], t) bit for
+    bit.  Rows whose models only move entries (shifts, identity) are moved
+    together by one gather over the zero-padded stack; every other row
+    calls its model's apply.
+    """
+
+    def __init__(self, models, shape):
+        self.models = tuple(models)
+        self.shape = tuple(shape)
+        size = int(np.prod(self.shape, dtype=int))
+        index = [m.source_index(size) for m in self.models]
+        self._others = [i for i, ix in enumerate(index) if ix is None]
+        self._index = None
+        if len(self._others) < len(index):
+            # row k of the zero-padded stack starts at k * (size + 1); rows
+            # of other models are copied here and overwritten in apply
+            self._index = np.stack([
+                k * (size + 1) + (np.arange(size) if ix is None else ix)
+                for k, ix in enumerate(index)])
+
+    def apply(self, thetas, t=None):
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.shape != (len(self.models),) + self.shape:
+            raise ValueError(f"stack has shape {thetas.shape}, expected "
+                             f"{(len(self.models),) + self.shape}")
+        if self._index is None:
+            out = np.empty_like(thetas)
+        else:
+            flat = thetas.reshape(len(thetas), -1)
+            padded = np.concatenate([flat, np.zeros((len(flat), 1))], axis=1)
+            out = padded.ravel()[self._index].reshape(thetas.shape)
+        for i in self._others:
+            out[i] = self.models[i].apply(thetas[i], t)
+        return out
 
 
 def shift_family(rows, cols, boundary="zero"):

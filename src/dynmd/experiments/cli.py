@@ -295,7 +295,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
+        # FloatingPointError: a run diverged; the message names the round,
+        # the expert and the layer
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,10 @@ decomposition from those traces.
 The driver never stores predictions or sensing matrices; everything the
 evaluation needs (losses, norms, divergences to the comparator) is reduced
 to scalars while the run is in flight, so horizons in the thousands stay
-within a laptop's memory.
+within a laptop's memory.  Each round evaluates the loss once, with one
+loss.values_and_grads call on the stacked expert predictions plus the
+comparator point; the traces, the comparator terms, the weight update and
+the mirror step all read that one result.
 """
 
 import math
@@ -20,6 +23,11 @@ from ..regret import (
     theorem2_curve,
     tracking_decomposition_from_losses,
 )
+
+
+def _row_norms(stack):
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def _loss_stream(losses, T):
@@ -92,19 +100,21 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None,
     agent_values = None
     for t in range(1, T + 1):
         loss = loss_at(t)
-        for i, e in enumerate(state.experts):
-            pred = e.theta_hat
-            pred_norms[t - 1, i] = np.linalg.norm(np.ravel(pred))
-            subgrad_norms[t - 1, i] = np.linalg.norm(
-                np.ravel(loss.subgradient(pred)))
+        preds = np.stack([e.theta_hat for e in state.experts])
+        points = preds if pts is None else np.concatenate([preds, pts[t - 1][None]])
+        values, grads = loss.values_and_grads(points)
+        point_subgrad_norms = _row_norms(grads + loss.r.subgradient(points))
+        pred_norms[t - 1] = _row_norms(preds)
+        subgrad_norms[t - 1] = point_subgrad_norms[:n]
         if pts is not None:
             comp = pts[t - 1]
-            comp_losses[t - 1] = loss.value(comp)
-            comp_subgrad[t - 1] = np.linalg.norm(np.ravel(loss.subgradient(comp)))
+            comp_losses[t - 1] = values[n]
+            comp_subgrad[t - 1] = point_subgrad_norms[n]
             comp_norms[t - 1] = np.linalg.norm(np.ravel(comp))
-            for i, e in enumerate(state.experts):
-                comp_div[t - 1, i] = e.geom.divergence(comp, e.theta_hat)
-        state, aggregated, losses_t = dfs_step(state, loss)
+            for e, rows, _ in state.plan.groups:
+                comp_div[t - 1, rows] = e.geom.divergences(comp, preds[rows])
+        state, aggregated, losses_t = dfs_step(
+            state, loss, evaluated=(values[:n], grads[:n]))
         weights[t - 1] = state.weights
         expert_losses[t - 1] = losses_t
         dfs_losses[t - 1] = loss.value(aggregated)

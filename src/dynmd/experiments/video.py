@@ -1,11 +1,15 @@
 """Synthetic compressive-video streams: a bright block moving over a dark
 grid, observed each round through a fresh Gaussian sensing matrix.
 
-Sensing matrices are regenerated on demand from per-round child seeds, so a
-long run never holds more than one (measurements x pixels) matrix at a
-time.  Frames are cheap and are stored for the whole horizon: frame t - 1
-in the stack is the scene the round-t observation measured, and the extra
-final frame closes the path for variation measures.
+Sensing matrices are drawn on demand from per-round child seeds, so a long
+run never holds more than one (measurements x pixels) matrix at a time.
+Observations are built lazily too: set-up stores the frames and the
+(T, measurements) noise block, and the round-t observation
+x_t = A_t frame_{t-1} + noise_{t-1} is formed from the one matrix that
+loss(t) draws, so a run draws each matrix once.  Frames are cheap and are
+stored for the whole horizon: frame t - 1 in the stack is the scene the
+round-t observation measured, and the extra final frame closes the path
+for variation measures.
 """
 
 import math
@@ -83,7 +87,7 @@ def _sensing_matrix(scenario, t):
     rng = np.random.default_rng(
         np.random.SeedSequence(scenario.seed, spawn_key=(0, t)))
     m = scenario.measurements
-    return rng.normal(size=(m, scenario.rows * scenario.cols)) / math.sqrt(m)
+    return rng.standard_normal(size=(m, scenario.rows * scenario.cols)) / math.sqrt(m)
 
 
 def _render(rows, cols, block, r, c, wrap):
@@ -101,7 +105,7 @@ def _render(rows, cols, block, r, c, wrap):
 class VideoData:
     scenario: VideoScenario
     frames: np.ndarray  # (T + 1, rows * cols)
-    observations: np.ndarray  # (T, measurements)
+    noise: np.ndarray  # (T, measurements), the observation noise of each round
     clipped_steps: tuple  # rounds where a wall blocked the nominal move
     tau_default: float
 
@@ -119,10 +123,18 @@ class VideoData:
             raise ValueError(f"t must lie in [1, {self.T}], got {t}")
         return _sensing_matrix(self.scenario, t)
 
+    def _observe(self, A, t):
+        return A @ self.frames[t - 1] + self.noise[t - 1]
+
+    def observation(self, t):
+        """Round-t measurement vector A_t frame_{t-1} + noise (draws A_t)."""
+        return self._observe(self.matrix(t), t)
+
     def loss(self, t, tau=None):
         """Round-t data-fit objective with the scenario's default l1 weight."""
         tau = self.tau_default if tau is None else tau
-        return least_squares(self.matrix(t), self.observations[t - 1], tau=tau)
+        A = self.matrix(t)
+        return least_squares(A, self._observe(A, t), tau=tau)
 
     def comparator(self):
         from ..regret import ComparatorSequence
@@ -130,8 +142,10 @@ class VideoData:
 
 
 def generate_video(scenario):
-    """Simulate the scenario; returns a VideoData with frames, observations,
-    and the rounds where clipping bent the path away from its own motion."""
+    """Simulate the scenario; returns a VideoData with frames, observation
+    noise, and the rounds where clipping bent the path away from its own
+    motion.  Of the sensing matrices only round 1's is drawn here, for the
+    default l1 weight."""
     s = scenario
     wrap = s.boundary == "wrap"
     r, c = s.start_row, s.start_col
@@ -153,10 +167,8 @@ def generate_video(scenario):
     noise_rng = np.random.default_rng(
         np.random.SeedSequence(s.seed, spawn_key=(1,)))
     m = frames.shape[1] if s.identity_sensing else s.measurements
-    noise = s.noise_std * noise_rng.normal(size=(s.T, m))
-    obs = np.empty((s.T, m))
-    for t in range(1, s.T + 1):
-        obs[t - 1] = _sensing_matrix(s, t) @ frames[t - 1] + noise[t - 1]
-    tau_default = 0.01 * float(np.abs(_sensing_matrix(s, 1).T @ obs[0]).max())
-    return VideoData(scenario=s, frames=frames, observations=obs,
+    noise = s.noise_std * noise_rng.standard_normal(size=(s.T, m))
+    A1 = _sensing_matrix(s, 1)
+    tau_default = 0.01 * float(np.abs(A1.T @ (A1 @ frames[0] + noise[0])).max())
+    return VideoData(scenario=s, frames=frames, noise=noise,
                      clipped_steps=tuple(clipped), tau_default=tau_default)

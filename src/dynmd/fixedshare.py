@@ -12,13 +12,20 @@ runs in log space with max subtraction, so 10^4-scale losses cannot
 underflow the weight vector.  After the share step every normalized weight
 is at least lam / N.  The aggregated prediction is invariant to positive
 rescaling of the weights.
+
+A round is one stacked computation.  The N predictions form an (N, *shape)
+array; one loss.values_and_grads call gives every expert's loss and
+gradient, and the same gradients drive one stacked mirror step (dmd.advance)
+in place of N separate ones.  A caller that has already evaluated the
+round's loss at the predictions passes the result in, so nothing is
+evaluated twice.  With one expert the round is bit-identical to dmd_step.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dmd import dmd_step
+from .dmd import StepPlan, advance, require_finite
 from .geometry import StepSchedule
 
 
@@ -29,6 +36,8 @@ class FixedShareState:
     lam: float
     experts: tuple
     t: int = 1
+    # how the experts step together; fixed_share_init builds it once
+    plan: object = field(default=None, repr=False, compare=False)
 
 
 def default_lambda(m, T):
@@ -56,8 +65,6 @@ def fixed_share_init(experts, lam, eta_r, weights=None):
     for e in experts:
         if e.theta_hat.shape != shape:
             raise ValueError("experts must share one parameter shape")
-        if not e.fset.is_convex:
-            raise ValueError("weighted-mean aggregation requires a convex feasible set")
     n = len(experts)
     if weights is None:
         weights = np.full(n, 1.0 / n)
@@ -68,7 +75,7 @@ def fixed_share_init(experts, lam, eta_r, weights=None):
         if np.any(weights < 0) or not np.isclose(weights.sum(), 1.0, atol=1e-9):
             raise ValueError("weights must be nonnegative and sum to 1")
     return FixedShareState(weights=weights, eta_r=eta_r, lam=float(lam),
-                           experts=experts, t=1)
+                           experts=experts, t=1, plan=StepPlan(experts))
 
 
 def aggregate_prediction(state, weights=None):
@@ -84,16 +91,24 @@ def _resolve_eta_r(eta_r, t):
     return float(eta_r)
 
 
-def dfs_step(state, loss, t=None):
-    """Advance one round; returns (new state, aggregated prediction, expert losses)."""
+def dfs_step(state, loss, t=None, evaluated=None):
+    """Advance one round; returns (new state, aggregated prediction, expert losses).
+
+    evaluated, when given, is loss.values_and_grads at the stacked expert
+    predictions (their composite losses and f-gradients); it is computed
+    here otherwise.  A non-finite loss, gradient or step raises
+    FloatingPointError naming the round, the expert and the layer.
+    """
     if t is None:
         t = state.t
     elif t != state.t:
         raise ValueError(f"step called with t={t} but state clock is {state.t}")
-    preds = [e.theta_hat for e in state.experts]
-    losses = np.array([loss.value(p) for p in preds])
-    if not np.all(np.isfinite(losses)):
-        raise FloatingPointError(f"non-finite expert loss at step t={t}")
+    plan = state.plan if state.plan is not None else StepPlan(state.experts)
+    preds = np.stack([e.theta_hat for e in state.experts])
+    if evaluated is None:
+        evaluated = loss.values_and_grads(preds)
+    losses, grads = evaluated
+    require_finite(losses, "loss value", t, plan.names)
     eta_r = _resolve_eta_r(state.eta_r, t)
     with np.errstate(divide="ignore"):  # a zero weight is a valid -inf log weight
         logw = np.log(state.weights) - eta_r * losses
@@ -102,7 +117,7 @@ def dfs_step(state, loss, t=None):
     n = wtilde.size
     w = (state.lam / n) * total + (1.0 - state.lam) * wtilde
     w = w / w.sum()
-    aggregated = np.tensordot(w, np.stack(preds), axes=1)
-    experts = tuple(dmd_step(e, loss, t)[0] for e in state.experts)
+    aggregated = np.tensordot(w, preds, axes=1)
+    experts = advance(state.experts, loss, preds, grads, t, plan)
     new_state = replace(state, weights=w, experts=experts, t=t + 1)
     return new_state, aggregated, losses

@@ -50,6 +50,15 @@ class SquaredEuclidean:
         d = a - b
         return self.scale * float(np.vdot(d, d))
 
+    def divergences(self, a, bs):
+        """divergence(a, b) for every row b of a (k, *shape) stack."""
+        a = _as_array(a, "a")
+        bs = _as_array(bs, "b")
+        if bs.shape[1:] != a.shape:
+            raise ValueError(f"shape mismatch: {a.shape} vs rows of {bs.shape}")
+        d = (bs - a).reshape(len(bs), -1)
+        return self.scale * np.einsum("ij,ij->i", d, d)
+
     def __repr__(self):
         return f"SquaredEuclidean(scale={self.scale})"
 
@@ -57,11 +66,14 @@ class SquaredEuclidean:
 class FeasibleSet:
     """Closed convex feasible set with Euclidean projection and membership."""
 
-    is_convex = True
     shape = None
 
     def project(self, p):
         raise NotImplementedError
+
+    def project_stack(self, points):
+        """project() of every row of a (k, *shape) stack."""
+        return np.stack([self.project(p) for p in points])
 
     def contains(self, p, tol=1e-9):
         raise NotImplementedError
@@ -74,6 +86,12 @@ class FeasibleSet:
         a = _as_array(p)
         if self.shape is not None and a.shape != self.shape:
             raise ValueError(f"point shape {a.shape} does not match set shape {self.shape}")
+        return a
+
+    def _check_stack(self, points):
+        a = _as_array(points)
+        if a.shape[1:] != self.shape:
+            raise ValueError(f"stack shape {a.shape} does not match set shape {self.shape}")
         return a
 
 
@@ -89,6 +107,9 @@ class Unconstrained(FeasibleSet):
 
     def project(self, p):
         return self._check_shape(p)
+
+    def project_stack(self, points):
+        return self._check_stack(points)
 
     def contains(self, p, tol=1e-9):
         self._check_shape(p)
@@ -122,6 +143,9 @@ class Box(FeasibleSet):
     def project(self, p):
         a = self._check_shape(p)
         return np.clip(a, self.lo, self.hi)
+
+    def project_stack(self, points):
+        return np.clip(self._check_stack(points), self.lo, self.hi)
 
     def contains(self, p, tol=1e-9):
         a = self._check_shape(p)

@@ -12,6 +12,11 @@ which is the negative log of the logistic conditional of x_a given the
 other votes.  Missing votes are encoded as 0 and drop out of every term.
 The matrix theta is not symmetrized; entry (a, b) only enters agent a's
 component.
+
+Every family also evaluates a stack of k points at once:
+CompositeLoss.values_and_grads(thetas) takes a (k, *shape) array and
+returns the k composite values and the k smooth-part gradients, so a pool
+of experts scores and differentiates one round's loss in a single call.
 """
 
 from dataclasses import dataclass
@@ -30,6 +35,10 @@ class L1Regularizer:
 
     def value(self, theta):
         return self.tau * float(np.abs(theta).sum())
+
+    def values(self, thetas):
+        """value() of every row of a (k, *shape) stack."""
+        return self.tau * np.abs(thetas.reshape(len(thetas), -1)).sum(axis=1)
 
     def prox(self, v, kappa):
         """argmin_u kappa * r(u) + 0.5 ||u - v||^2, i.e. soft threshold at kappa * tau."""
@@ -76,6 +85,24 @@ class LeastSquaresLoss:
         theta = self._check_theta(theta)
         return self.A.T @ (self.A @ theta - self.x)
 
+    def values_and_grads(self, thetas):
+        """value() and gradient() of every row of a (k, n) stack.
+
+        k = 1 keeps the single-point arithmetic (matrix-vector products), so
+        a lone tracker is bit-identical to value() and gradient(); k > 1
+        uses two matrix-matrix products, R = Theta A^T - x and G = R A,
+        which may round differently in the last digits.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.A.shape[1]:
+            raise ValueError(
+                f"thetas have shape {thetas.shape}, expected (k, {self.A.shape[1]})")
+        if len(thetas) == 1:
+            r = self.A @ thetas[0] - self.x
+            return np.array([0.5 * float(np.vdot(r, r))]), (self.A.T @ r)[None]
+        R = thetas @ self.A.T - self.x
+        return 0.5 * np.einsum("ij,ij->i", R, R), R @ self.A
+
 
 class IsingPseudolikelihoodLoss:
     """Sum over agents of the logistic-conditional negative log likelihood.
@@ -94,10 +121,12 @@ class IsingPseudolikelihoodLoss:
         self.votes = v
         self.p = v.size
 
-    def _check_theta(self, theta):
+    def _check_theta(self, theta, stacked=False):
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.p, self.p):
-            raise ValueError(f"theta has shape {theta.shape}, expected ({self.p}, {self.p})")
+        ndim = 3 if stacked else 2
+        if theta.ndim != ndim or theta.shape[-2:] != (self.p, self.p):
+            want = ("k", self.p, self.p) if stacked else (self.p, self.p)
+            raise ValueError(f"theta has shape {theta.shape}, expected {want}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
         if np.abs(theta).max() > 1.0 + 1e-9:
@@ -105,9 +134,18 @@ class IsingPseudolikelihoodLoss:
         return theta
 
     def _z(self, theta):
+        # theta is one (p, p) matrix or a (k, p, p) stack; z is (p,) or (k, p)
         x = self.votes
-        diag = np.diagonal(theta)
+        diag = np.diagonal(theta, axis1=-2, axis2=-1)
         return 2.0 * diag * x + 2.0 * x * (theta @ x - diag * x)
+
+    def _gradient(self, z):
+        x = self.votes
+        u = -2.0 * x * (1.0 - expit(z))
+        g = u[..., :, None] * x
+        idx = np.arange(self.p)
+        g[..., idx, idx] = u
+        return g
 
     def per_agent_values(self, theta):
         """Vector of the p per-agent components (their sum is the loss)."""
@@ -118,13 +156,12 @@ class IsingPseudolikelihoodLoss:
         return float(self.per_agent_values(theta).sum())
 
     def gradient(self, theta):
-        theta = self._check_theta(theta)
-        x = self.votes
-        s = expit(self._z(theta))
-        u = -2.0 * x * (1.0 - s)
-        g = np.outer(u, x)
-        np.fill_diagonal(g, u)
-        return g
+        return self._gradient(self._z(self._check_theta(theta)))
+
+    def values_and_grads(self, thetas):
+        """value() and gradient() of every matrix of a (k, p, p) stack."""
+        z = self._z(self._check_theta(thetas, stacked=True))
+        return np.logaddexp(0.0, -z).sum(axis=1), self._gradient(z)
 
 
 @dataclass(frozen=True)
@@ -151,6 +188,16 @@ class CompositeLoss:
 
     def subgradient(self, theta):
         return self.f.gradient(theta) + self.r.subgradient(theta)
+
+    def values_and_grads(self, thetas):
+        """Composite values and smooth-part gradients of a (k, *shape) stack.
+
+        Returns (values, grads): values[i] = value(thetas[i]) and grads[i] =
+        f_gradient(thetas[i]), both from one pass of the data-fit term.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        f_values, grads = self.f.values_and_grads(thetas)
+        return f_values + self.r.values(thetas), grads
 
 
 def least_squares(A, x, tau=0.0):

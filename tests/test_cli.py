@@ -128,3 +128,17 @@ def test_missing_losses_file_is_a_clean_error(tmp_path, capsys):
     assert main(["eval-regret", "--losses", str(tmp_path / "nope.csv"),
                  "--m", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_divergent_run_is_a_clean_error(tmp_path, capsys):
+    # a huge constant step in a huge box: the iterates grow until the
+    # squared residual overflows, which must end in exit 2, not a traceback
+    out = tmp_path / "ov"
+    code = main(VIDEO_ARGS + ["--box-lo=-1e300", "--box-hi", "1e300",
+                              "--eta-kind", "constant", "--eta-const", "1e30",
+                              "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: non-finite loss value at round t=")
+    assert "expert 0 (E)" in err
+    assert "Traceback" not in err

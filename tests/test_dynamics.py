@@ -3,6 +3,7 @@ import pytest
 
 from dynmd import (
     Box,
+    DynamicalModel,
     IdentityModel,
     NetworkAttraction,
     PixelShift,
@@ -11,6 +12,7 @@ from dynmd import (
     audit_contraction,
     shift_family,
 )
+from dynmd.dynamics import ModelStack
 
 
 def test_identity_model():
@@ -140,6 +142,88 @@ def test_network_attraction_tie_breaks_to_lowest_index():
     theta[0, 3], theta[1, 3] = -0.9, 0.8    # -0.72
     out = NetworkAttraction(1.0).apply(theta)
     assert out[0, 1] == pytest.approx(0.72, rel=1e-15)
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _slice_shift(model, theta):
+    # reference: the shift as slice copies (zero fill) or np.roll (wrap)
+    img = np.asarray(theta, dtype=float).reshape(model.rows, model.cols)
+    dr, dc = model.dr, model.dc
+    if model.boundary == "wrap":
+        return np.roll(img, (dr, dc), axis=(0, 1)).reshape(np.shape(theta))
+    out = np.zeros_like(img)
+    out[max(0, dr):model.rows + min(0, dr), max(0, dc):model.cols + min(0, dc)] = \
+        img[max(0, -dr):model.rows + min(0, -dr), max(0, -dc):model.cols + min(0, -dc)]
+    return out.reshape(np.shape(theta))
+
+
+def test_pixel_shift_gather_matches_slice_reference():
+    rng = np.random.default_rng(71)
+    for boundary in ("zero", "wrap"):
+        for rows, cols in ((1, 1), (1, 5), (4, 3), (6, 6)):
+            for model in shift_family(rows, cols, boundary=boundary)[:8]:
+                img = rng.normal(size=(rows, cols))
+                img[0, 0] = -0.0
+                assert same_bits(model.apply(img), _slice_shift(model, img))
+                flat = img.ravel()
+                assert same_bits(model.apply(flat), _slice_shift(model, flat))
+
+
+class _Doubling(DynamicalModel):
+    label = "double"
+
+    def apply(self, theta, t=None):
+        return 2.0 * np.asarray(theta, dtype=float)
+
+
+@pytest.mark.parametrize("shape", [(16,), (4, 4)])
+def test_model_stack_rows_equal_each_models_apply(shape):
+    rng = np.random.default_rng(73)
+    models = shift_family(4, 4) + [_Doubling(), NetworkAttraction(0.5)]
+    if shape == (16,):
+        models = models[:-1]  # the attraction map needs square matrices
+    stack = ModelStack(models, shape)
+    thetas = rng.uniform(-1.0, 1.0, size=(len(models),) + shape)
+    out = stack.apply(thetas, 3)
+    assert out.shape == thetas.shape
+    for i, model in enumerate(models):
+        assert same_bits(out[i], model.apply(thetas[i], 3))
+    with pytest.raises(ValueError):
+        stack.apply(thetas[1:])
+
+
+def _attraction_two_gathers(alpha, theta):
+    # reference: the formula before best_abs became score.max
+    p = theta.shape[0]
+    prod = theta[:, None, :] * theta[None, :, :]
+    score = np.abs(prod)
+    idx = np.arange(p)
+    score[idx, :, idx] = -1.0
+    score[:, idx, idx] = -1.0
+    cstar = score.argmax(axis=2)
+    best_abs = np.take_along_axis(score, cstar[..., None], axis=2)[..., 0]
+    best = np.take_along_axis(prod, cstar[..., None], axis=2)[..., 0]
+    pull = best_abs > np.abs(theta)
+    return np.where(pull, (1.0 - alpha) * theta + alpha * best, theta)
+
+
+def test_network_attraction_matches_two_gather_formula():
+    rng = np.random.default_rng(79)
+    levels = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    for trial in range(60):
+        p = int(rng.integers(1, 9))
+        if trial % 2:
+            theta = rng.uniform(-1.0, 1.0, size=(p, p))
+        else:
+            # few distinct magnitudes: many tied scores and signed ties
+            theta = rng.choice(levels, size=(p, p))
+        for alpha in (0.1, 0.5, 1.0):
+            got = NetworkAttraction(alpha).apply(theta)
+            assert same_bits(got, _attraction_two_gathers(alpha, theta))
 
 
 def test_network_attraction_small_p_has_no_candidates():

@@ -44,7 +44,7 @@ def small_scenario(**kw):
 def test_identity_sensing_noiseless_observes_frames():
     data = generate_video(small_scenario(identity_sensing=True, noise_std=0.0))
     for t in range(1, data.T + 1):
-        assert np.array_equal(data.observations[t - 1], data.frames[t - 1])
+        assert np.array_equal(data.observation(t), data.frames[t - 1])
         assert np.array_equal(data.matrix(t), np.eye(data.n_pixels))
 
 
@@ -52,7 +52,7 @@ def test_observation_noise_energy():
     data = generate_video(small_scenario(T=40, measurements=200, noise_std=0.3))
     sq = []
     for t in range(1, data.T + 1):
-        resid = data.observations[t - 1] - data.matrix(t) @ data.frames[t - 1]
+        resid = data.observation(t) - data.matrix(t) @ data.frames[t - 1]
         sq.append(resid @ resid / resid.size)
     assert np.mean(sq) == pytest.approx(0.09, rel=0.15)
 
@@ -90,15 +90,17 @@ def test_video_generation_is_reproducible():
     a = generate_video(small_scenario(T=6))
     b = generate_video(small_scenario(T=6))
     assert np.array_equal(a.frames, b.frames)
-    assert np.array_equal(a.observations, b.observations)
+    assert all(np.array_equal(a.observation(t), b.observation(t))
+               for t in range(1, 7))
     assert np.array_equal(a.matrix(4), b.matrix(4))
     c = generate_video(small_scenario(T=6, seed=8))
-    assert not np.array_equal(a.observations, c.observations)
+    assert not all(np.array_equal(a.observation(t), c.observation(t))
+                   for t in range(1, 7))
 
 
 def test_video_tau_default_and_comparator():
     data = generate_video(small_scenario())
-    want = 0.01 * np.abs(data.matrix(1).T @ data.observations[0]).max()
+    want = 0.01 * np.abs(data.matrix(1).T @ data.observation(1)).max()
     assert data.tau_default == pytest.approx(want, rel=1e-12)
     comp = data.comparator()
     assert comp.horizon == data.T
@@ -106,6 +108,41 @@ def test_video_tau_default_and_comparator():
     loss = data.loss(2)
     assert loss.r.tau == data.tau_default
     assert loss.value(data.frames[1]) >= 0.0
+
+
+def _eager_sensing(scenario, frames):
+    # reference: every matrix and observation drawn up front with
+    # Generator.normal, as set-up did before observations became lazy
+    n = frames.shape[1]
+    m = n if scenario.identity_sensing else scenario.measurements
+    noise_rng = np.random.default_rng(
+        np.random.SeedSequence(scenario.seed, spawn_key=(1,)))
+    noise = scenario.noise_std * noise_rng.normal(size=(scenario.T, m))
+    pairs = []
+    for t in range(1, scenario.T + 1):
+        if scenario.identity_sensing:
+            A = np.eye(n)
+        else:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(scenario.seed, spawn_key=(0, t)))
+            A = rng.normal(size=(m, n)) / np.sqrt(m)
+        pairs.append((A, A @ frames[t - 1] + noise[t - 1]))
+    return pairs
+
+
+@pytest.mark.parametrize("kw", [dict(seed=0), dict(seed=1), dict(seed=2),
+                                dict(identity_sensing=True)])
+def test_lazy_video_loss_matches_eager_construction(kw):
+    data = generate_video(small_scenario(T=5, **kw))
+    pairs = _eager_sensing(data.scenario, data.frames)
+    for t, (A, x) in enumerate(pairs, start=1):
+        loss = data.loss(t)
+        assert np.array_equal(loss.f.A.view(np.uint64), A.view(np.uint64))
+        assert np.array_equal(loss.f.x.view(np.uint64), x.view(np.uint64))
+        assert np.array_equal(data.observation(t).view(np.uint64),
+                              x.view(np.uint64))
+    A1, x1 = pairs[0]
+    assert data.tau_default == 0.01 * float(np.abs(A1.T @ x1).max())
 
 
 def test_video_scenario_validation():

@@ -1,13 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import rel_err
 from dynmd import (
+    Ball,
     Box,
     ConstantStep,
     DoublingStep,
     IdentityModel,
+    NetworkAttraction,
+    PixelShift,
     SquaredEuclidean,
     Unconstrained,
     aggregate_prediction,
@@ -17,6 +24,7 @@ from dynmd import (
     dmd_step,
     fixed_share_init,
     least_squares,
+    vote_pseudolikelihood,
 )
 
 
@@ -240,3 +248,126 @@ def test_clock_mismatch_and_nonfinite_loss_errors():
     state_far = fixed_share_init(far, lam=0.1, eta_r=1.0)
     with pytest.raises(FloatingPointError, match="t=1"):
         dfs_step(state_far, loss)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_nonfinite_errors_name_round_expert_and_layer():
+    experts = make_experts(2, [[0.0], [1e200]])
+    state = fixed_share_init(experts, lam=0.1, eta_r=1.0)
+    loss = least_squares(np.array([[1.0]]), np.array([0.0]))
+    with pytest.raises(FloatingPointError,
+                       match=r"loss value at round t=1, expert 1 \(identity\)"):
+        dfs_step(state, loss)
+    # finite losses with a non-finite gradient: the step layer names it
+    state = fixed_share_init(make_experts(2, [[0.0], [0.5]]), lam=0.1, eta_r=1.0)
+    grads = np.array([[0.0], [np.inf]])
+    with pytest.raises(FloatingPointError,
+                       match=r"gradient at round t=1, expert 1 \(identity\)"):
+        dfs_step(state, loss, evaluated=(np.zeros(2), grads))
+    huge = np.array([[0.0], [1e308]])
+    wide = fixed_share_init(make_experts(2, [[0.0], [0.5]],
+                                         sched=ConstantStep(1e10)),
+                            lam=0.1, eta_r=1.0)
+    with pytest.raises(FloatingPointError,
+                       match=r"step at round t=1, expert 1 \(identity\)"):
+        dfs_step(wide, loss, evaluated=(np.zeros(2), huge))
+
+
+def reference_round(state, loss):
+    """One pool round expert by expert: loss.value and dmd_step per expert,
+    with the log-space share update."""
+    t = state.t
+    preds = [e.theta_hat for e in state.experts]
+    losses = np.array([loss.value(p) for p in preds])
+    with np.errstate(divide="ignore"):
+        logw = np.log(state.weights) - state.eta_r * losses
+    wtilde = np.exp(logw - logw.max())
+    n = len(preds)
+    w = (state.lam / n) * wtilde.sum() + (1.0 - state.lam) * wtilde
+    w = w / w.sum()
+    aggregated = np.tensordot(w, np.stack(preds), axes=1)
+    experts = tuple(dmd_step(e, loss, t)[0] for e in state.experts)
+    return replace(state, weights=w, experts=experts, t=t + 1), aggregated, losses
+
+
+@st.composite
+def pools(draw):
+    n = draw(st.integers(1, 6))
+    family = draw(st.sampled_from(["least_squares", "votes"]))
+    set_kind = draw(st.sampled_from(["box", "ball", "unconstrained"]))
+    # the vote loss is defined on [-1, 1] entries only
+    assume(not (family == "votes" and set_kind == "unconstrained"))
+    return {
+        "n": n, "family": family, "set_kind": set_kind,
+        "reg_period": draw(st.integers(1, 3)),
+        "tau": draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+        "scale": draw(st.sampled_from([0.5, 1.0, 2.0])),
+        "shared_schedule": draw(st.booleans()),
+        "rounds": draw(st.integers(1, 4)),
+        "lam": draw(st.floats(0.0, 1.0)),
+        "eta_r": draw(st.floats(0.01, 3.0)),
+        "seed": draw(st.integers(0, 2 ** 32 - 1)),
+    }
+
+
+def build_pool(spec):
+    rng = np.random.default_rng(spec["seed"])
+    n = spec["n"]
+    if spec["family"] == "least_squares":
+        shape = (6,)
+        models = [PixelShift(int(d), 2, 3) if d < 8 else IdentityModel()
+                  for d in rng.integers(0, 9, size=n)]
+
+        def make_loss():
+            return least_squares(rng.normal(size=(4, 6)), rng.normal(size=4),
+                                 tau=spec["tau"])
+    else:
+        shape = (4, 4)
+        models = [NetworkAttraction(float(a)) for a in rng.uniform(0, 1, size=n)]
+
+        def make_loss():
+            return vote_pseudolikelihood(rng.choice([-1.0, 0.0, 1.0], size=4),
+                                         tau=spec["tau"])
+    if spec["set_kind"] == "box":
+        lo = rng.uniform(-1.0, 0.0, size=shape)
+        fset = Box(lo, rng.uniform(0.0, 1.0, size=shape))
+    elif spec["set_kind"] == "ball":
+        fset = Ball(np.zeros(shape), rng.uniform(0.3, 1.0))
+    else:
+        fset = Unconstrained(shape)
+    geom = SquaredEuclidean(spec["scale"])
+    shared = DoublingStep(2, 2.0, rng.uniform(0.1, 1.0))
+    experts = []
+    for model in models:
+        sched = shared if spec["shared_schedule"] else ConstantStep(rng.uniform(0.05, 1.0))
+        theta0 = fset.project(rng.uniform(-1.0, 1.0, size=shape))
+        experts.append(dmd_init(geom, fset, model, sched,
+                                reg_period=spec["reg_period"], theta0=theta0))
+    state = fixed_share_init(experts, lam=spec["lam"], eta_r=spec["eta_r"])
+    return state, [make_loss() for _ in range(spec["rounds"])]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pools())
+def test_stacked_round_matches_per_expert_loop(spec):
+    state, losses = build_pool(spec)
+    ref = state
+    for loss in losses:
+        state, agg, expert_losses = dfs_step(state, loss)
+        ref, agg_ref, losses_ref = reference_round(ref, loss)
+        if spec["n"] == 1:
+            # one expert: the stacked round is the lone tracker, bit for bit
+            assert state.weights[0] == 1.0 == ref.weights[0]
+            assert np.array_equal(agg, agg_ref)
+            assert np.array_equal(expert_losses, losses_ref)
+            pairs = [(e.theta_hat, r.theta_hat) for e, r in zip(state.experts, ref.experts)]
+            pairs += [(e.theta_tilde, r.theta_tilde) for e, r in zip(state.experts, ref.experts)]
+            assert all(np.array_equal(a, b) for a, b in pairs)
+            continue
+        assert np.allclose(expert_losses, losses_ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(state.weights, ref.weights, rtol=1e-12, atol=0.0)
+        assert rel_err(agg, agg_ref) <= 1e-12
+        for e, r in zip(state.experts, ref.experts):
+            assert e.t == r.t
+            assert rel_err(e.theta_hat, r.theta_hat) <= 1e-12
+            assert rel_err(e.theta_tilde, r.theta_tilde) <= 1e-12

@@ -279,3 +279,44 @@ def test_composite_nonnegative_for_both_families():
     for _ in range(100):
         assert ls.value(rng.normal(size=3)) >= 0.0
         assert ising.value(rng.uniform(-1.0, 1.0, size=(3, 3))) >= 0.0
+
+
+@pytest.mark.parametrize("family", ["least_squares", "votes"])
+def test_values_and_grads_match_pointwise_calls(family):
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        if family == "least_squares":
+            loss = least_squares(rng.normal(size=(7, 12)), rng.normal(size=7),
+                                 tau=0.3)
+            shape = (12,)
+        else:
+            loss = vote_pseudolikelihood(rng.choice([-1.0, 0.0, 1.0], size=6),
+                                         tau=0.3)
+            shape = (6, 6)
+        for k in (1, 2, 5):
+            thetas = rng.uniform(-1.0, 1.0, size=(k,) + shape)
+            values, grads = loss.values_and_grads(thetas)
+            assert values.shape == (k,) and grads.shape == thetas.shape
+            for i in range(k):
+                want_v, want_g = loss.value(thetas[i]), loss.f_gradient(thetas[i])
+                if k == 1 or family == "votes":
+                    # one point keeps the pointwise arithmetic; the vote
+                    # loss is elementwise apart from per-point products
+                    assert values[i] == want_v
+                    assert np.array_equal(grads[i], want_g)
+                else:
+                    assert values[i] == pytest.approx(want_v, rel=1e-12)
+                    assert rel_err(grads[i], want_g) <= 1e-12
+
+
+def test_values_and_grads_shape_errors():
+    ls = least_squares(np.ones((2, 3)), np.zeros(2))
+    with pytest.raises(ValueError):
+        ls.values_and_grads(np.zeros(3))
+    with pytest.raises(ValueError):
+        ls.values_and_grads(np.zeros((2, 4)))
+    ising = vote_pseudolikelihood(np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        ising.values_and_grads(np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        ising.values_and_grads(np.full((1, 2, 2), 2.0))
