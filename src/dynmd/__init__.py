@@ -56,7 +56,6 @@ from .regret import (
     static_regret,
     theorem2_bound,
     theorem2_curve,
-    tracking_decomposition,
     tracking_decomposition_from_losses,
     variation,
     variation_phi,
@@ -79,6 +78,6 @@ __all__ = [
     "ComparatorSequence", "SegmentationResult", "TrackingDecomposition",
     "best_segmentation", "cumulative_regret", "fixed_share_bound",
     "least_squares_minimizer", "moving_average", "regret", "static_regret",
-    "theorem2_bound", "theorem2_curve", "tracking_decomposition",
-    "tracking_decomposition_from_losses", "variation", "variation_phi",
+    "theorem2_bound", "theorem2_curve", "tracking_decomposition_from_losses",
+    "variation", "variation_phi",
 ]

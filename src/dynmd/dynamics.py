@@ -7,6 +7,7 @@ are used with (shifts preserve boxes containing 0, the attraction map
 preserves [-1, 1] entrywise).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ DIRECTIONS = (
     ("S", 1, 0),
     ("SE", 1, 1),
 )
+
+# bytes of arrays that ModelStack.images aims to allocate per call
+_SCRATCH_BYTES = 1 << 20
 
 
 class DynamicalModel:
@@ -109,7 +113,9 @@ class NetworkAttraction(DynamicalModel):
     theta_bc| (ties to the lowest index).  If |theta_ac* * theta_bc*| >
     |theta_ab| the entry moves to (1 - alpha) theta_ab + alpha theta_ac* *
     theta_bc*; otherwise it is unchanged.  alpha = 0 is exactly the
-    identity.  Cost is O(p^3) memory and time per application.
+    identity.  Cost is O(p^3) memory and time per application.  The search
+    for c* does not depend on alpha, so ModelStack runs it once for all
+    the attraction models it holds.
     """
 
     def __init__(self, alpha):
@@ -118,62 +124,167 @@ class NetworkAttraction(DynamicalModel):
         self.alpha = float(alpha)
         self.label = f"alpha={self.alpha:g}"
 
+    def source_index(self, size):
+        # alpha = 0 is the identity, which only moves entries
+        if self.alpha != 0.0:
+            return None
+        if math.isqrt(size) ** 2 != size:
+            raise ValueError(f"point has {size} entries, not a square matrix")
+        return np.arange(size)
+
     def apply(self, theta, t=None):
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
             raise ValueError(f"theta must be square, got shape {theta.shape}")
         if self.alpha == 0.0:
             return theta.copy()
-        p = theta.shape[0]
-        prod = theta[:, None, :] * theta[None, :, :]
-        idx = np.arange(p)
-        prod[idx, :, idx] = 0.0  # exclude c == a
-        prod[:, idx, idx] = 0.0  # exclude c == b
-        # an excluded c scores 0, so argmax can only pick it when every
-        # candidate scores 0 too, and then |best| = 0 pulls nothing
-        cstar = np.abs(prod).argmax(axis=2)
-        best = np.take_along_axis(prod, cstar[..., None], axis=2)[..., 0]
-        pull = np.abs(best) > np.abs(theta)
-        return np.where(pull, (1.0 - self.alpha) * theta + self.alpha * best, theta)
+        top, best = _attraction_targets(theta[None])
+        return _attraction_blend(theta, top[0], best[0], self.alpha)
+
+
+def _attraction_targets(thetas):
+    """The alpha-free part of NetworkAttraction on a (B, p, p) stack.
+
+    Returns (top, best), both (B, p, p): for entry (a, b) of point k, with
+    c* the lowest-index maximizer of |theta_ac| |theta_bc| over c not in
+    {a, b}, top is that score and best the signed product theta_ac*
+    theta_bc*.  |x y| = |x| |y| holds exactly in floating point, so this
+    is the same c* as a search over |theta_ac theta_bc|.  The score tensor
+    takes B p^3 floats.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 3 or thetas.shape[1] != thetas.shape[2]:
+        raise ValueError(f"need a (B, p, p) stack, got shape {thetas.shape}")
+    n, p, _ = thetas.shape
+    mag = np.abs(thetas)
+    score = mag[:, :, None, :] * mag[:, None, :, :]  # [k, a, b, c]
+    idx = np.arange(p)
+    score[:, idx, :, idx] = 0.0  # exclude c == a
+    score[:, :, idx, idx] = 0.0  # exclude c == b
+    cstar = score.argmax(axis=3)
+    top = score.reshape(-1, p)[np.arange(n * p * p), cstar.ravel()]
+    k = np.arange(n)[:, None, None]
+    best = thetas[k, idx[:, None], cstar] * thetas[k, idx, cstar]
+    return top.reshape(cstar.shape), best
+
+
+def _attraction_blend(theta, top, best, alpha):
+    """NetworkAttraction's update from _attraction_targets; alpha may be an
+    array that broadcasts against theta (one alpha per point).
+
+    When every candidate scores 0, c* may be an excluded index whose
+    product is not 0, so the pull test reads top, never |best|.
+    """
+    return np.where(top > np.abs(theta), (1.0 - alpha) * theta + alpha * best,
+                    theta)
 
 
 class ModelStack:
-    """Applies one model per row to an (N, *shape) stack of points.
+    """Applies a fixed list of models to stacks of points of one shape.
 
-    Row i of apply(thetas, t) equals models[i].apply(thetas[i], t) bit for
-    bit.  Rows whose models only move entries (shifts, identity) are moved
-    together by one gather over the zero-padded stack; every other row
-    calls its model's apply.
+    apply(thetas, t) moves row i by models[i]; images(points, t) moves
+    every point by every model.  Both equal the models' own apply bit for
+    bit.  Models that only move entries (shifts, identity, attraction with
+    alpha = 0) are one gather over the zero-padded stack, attraction models
+    share one _attraction_targets call and each alpha only blends, and any
+    other model calls its apply point by point.
     """
 
     def __init__(self, models, shape):
         self.models = tuple(models)
         self.shape = tuple(shape)
-        size = int(np.prod(self.shape, dtype=int))
-        index = [m.source_index(size) for m in self.models]
-        self._others = [i for i, ix in enumerate(index) if ix is None]
+        self.size = int(np.prod(self.shape, dtype=int))
+        self._sources = [m.source_index(self.size) for m in self.models]
+        self._attraction = [i for i, (m, ix) in enumerate(zip(self.models, self._sources))
+                            if ix is None and isinstance(m, NetworkAttraction)]
+        self._alphas = np.array([self.models[i].alpha for i in self._attraction])
+        self._others = [i for i, ix in enumerate(self._sources)
+                        if ix is None and i not in self._attraction]
         self._index = None
-        if len(self._others) < len(index):
+        if any(ix is not None for ix in self._sources):
             # row k of the zero-padded stack starts at k * (size + 1); rows
             # of other models are copied here and overwritten in apply
             self._index = np.stack([
-                k * (size + 1) + (np.arange(size) if ix is None else ix)
-                for k, ix in enumerate(index)])
+                k * (self.size + 1) + (np.arange(self.size) if ix is None else ix)
+                for k, ix in enumerate(self._sources)])
+
+    def _check(self, stack, rows):
+        stack = np.asarray(stack, dtype=float)
+        if stack.ndim != len(self.shape) + 1 or stack.shape[1:] != self.shape \
+                or (rows is not None and len(stack) != rows):
+            want = (rows if rows is not None else "B",) + self.shape
+            raise ValueError(f"stack has shape {stack.shape}, expected {want}")
+        return stack
 
     def apply(self, thetas, t=None):
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.shape != (len(self.models),) + self.shape:
-            raise ValueError(f"stack has shape {thetas.shape}, expected "
-                             f"{(len(self.models),) + self.shape}")
+        thetas = self._check(thetas, len(self.models))
         if self._index is None:
             out = np.empty_like(thetas)
         else:
-            flat = thetas.reshape(len(thetas), -1)
-            padded = np.concatenate([flat, np.zeros((len(flat), 1))], axis=1)
-            out = padded.ravel()[self._index].reshape(thetas.shape)
+            out = _padded(thetas).ravel()[self._index].reshape(thetas.shape)
+        if self._attraction:
+            rows = thetas[self._attraction]
+            top, best = _attraction_targets(rows)
+            out[self._attraction] = _attraction_blend(
+                rows, top, best, self._alphas[:, None, None])
         for i in self._others:
             out[i] = self.models[i].apply(thetas[i], t)
         return out
+
+    def images(self, points, t):
+        """(N, B, *shape) stack whose [i, k] is models[i].apply(points[k],
+        t + k): points[k] is the point at time t + k."""
+        points = self._check(points, None)
+        out = np.empty((len(self.models),) + points.shape)
+        padded = _padded(points)
+        if self._attraction:
+            top, best = _attraction_targets(points)
+        for i, model in enumerate(self.models):
+            if self._sources[i] is not None:
+                out[i] = padded[:, self._sources[i]].reshape(points.shape)
+            elif i in self._attraction:
+                out[i] = _attraction_blend(points, top, best, model.alpha)
+            else:
+                for k, point in enumerate(points):
+                    out[i, k] = model.apply(point, t + k)
+        return out
+
+    def chunk_length(self):
+        """Points per images() call whose arrays take about 1 MB: the N
+        images of a point and their differences to the next point, or its
+        p^3 attraction scores if larger."""
+        per_point = 2 * len(self.models) * (self.size + 1)
+        if self._attraction:
+            per_point = max(per_point, self.size * math.isqrt(self.size))
+        return max(1, _SCRATCH_BYTES // (8 * per_point))
+
+
+def _padded(stack):
+    flat = stack.reshape(len(stack), -1)
+    return np.concatenate([flat, np.zeros((len(flat), 1))], axis=1)
+
+
+def model_deviations(points, models):
+    """(T, N) matrix of ||points[t+1] - models[i].apply(points[t], t+1)||
+    for a path of T + 1 points, t = 0 .. T-1, Euclidean over flattened
+    points.  The points are moved ModelStack.chunk_length() at a time, so
+    scratch memory stays near 1 MB whatever T is."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2 or pts.shape[0] < 2:
+        raise ValueError("a path needs at least two stacked points")
+    models = list(models)
+    if not models:
+        raise ValueError("at least one model is required")
+    T = pts.shape[0] - 1
+    stack = ModelStack(models, pts.shape[1:])
+    chunk = stack.chunk_length()
+    out = np.empty((T, len(models)))
+    for lo in range(0, T, chunk):
+        hi = min(lo + chunk, T)
+        diff = pts[lo + 1:hi + 1] - stack.images(pts[lo:hi], lo + 1)
+        diff = diff.reshape(len(models), hi - lo, -1)
+        out[lo:hi] = np.sqrt(np.einsum("nkj,nkj->kn", diff, diff))
+    return out
 
 
 def shift_family(rows, cols, boundary="zero"):

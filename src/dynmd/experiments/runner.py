@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dynamics import model_deviations
 from ..fixedshare import dfs_step, fixed_share_init
 from ..geometry import BoundConstants
 from ..regret import (
@@ -159,15 +160,10 @@ def evaluate_run(result, models, m=0, window=30):
     if len(models) != result.n_experts:
         raise ValueError(f"{len(models)} models for {result.n_experts} experts")
     T, n = result.expert_losses.shape
-    pts = result.comparator_points
     diffs = result.expert_losses - result.comparator_losses[:, None]
     expert_regret = np.cumsum(diffs, axis=0)
     dfs_regret = np.cumsum(result.dfs_losses - result.comparator_losses)
-    deviations = np.empty((T, n))
-    for i, model in enumerate(models):
-        for t in range(T):
-            d = pts[t + 1] - model.apply(pts[t], t + 1)
-            deviations[t, i] = np.linalg.norm(np.ravel(d))
+    deviations = model_deviations(result.comparator_points, models)
     experts = result.final_state.experts
     constants = []
     curves = np.empty((T, n))

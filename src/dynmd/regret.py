@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import model_deviations
 from .losses import CompositeLoss, LeastSquaresLoss
 
 
@@ -123,11 +124,7 @@ def variation(comparator):
 def variation_phi(comparator, model):
     """sum_t ||theta_{t+1} - Phi(theta_t)||: deviation from the model's flow."""
     pts = comparator.points if isinstance(comparator, ComparatorSequence) else np.asarray(comparator, dtype=float)
-    total = 0.0
-    for t in range(pts.shape[0] - 1):
-        d = pts[t + 1] - model.apply(pts[t], t + 1)
-        total += float(np.linalg.norm(np.ravel(d)))
-    return total
+    return float(model_deviations(pts, [model]).sum())
 
 
 def _segmented_min(cost, n_segments):
@@ -135,8 +132,19 @@ def _segmented_min(cost, n_segments):
     segments, pay each segment's best column sum, minimize the total.
 
     cost is (T, N).  Returns (value, [(start, end)] 1-based inclusive,
-    [column index per segment]).  Prefix sums make each segment-cost query
-    O(N); the table sweep is O(n_segments * T^2) vector ops.
+    [column index per segment]).  Consecutive segments may share a column,
+    so the value is also the best assignment of one column per step with
+    at most n_segments - 1 changes (fixed share's switching comparator).
+
+    Forward recursion over t in O(n_segments * T * N): dp[j, i] is the
+    least cost of steps 1..t in exactly j + 1 segments, the last on column
+    i; a step either extends that segment or starts segment j + 1 on
+    column i after the best j-segment prefix.  On ties the reported
+    segmentation takes the lowest-index final column; going back from
+    step T it extends a segment rather than start a new one, so each
+    segment starts as early as the later ones allow (redundant segments
+    become one-step segments at the start); the column before a new
+    segment is the lowest-index one among ties.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -144,29 +152,35 @@ def _segmented_min(cost, n_segments):
     T, N = cost.shape
     if not (1 <= n_segments <= T):
         raise ValueError(f"need 1 <= segments <= {T}, got {n_segments}")
-    prefix = np.vstack([np.zeros(N), np.cumsum(cost, axis=0)])
-    table = np.full((n_segments + 1, T + 1), np.inf)
-    split = np.zeros((n_segments + 1, T + 1), dtype=int)
-    table[1, 1:] = prefix[1:].min(axis=1)
-    for j in range(2, n_segments + 1):
-        for b in range(j, T + 1):
-            a = np.arange(j - 1, b)  # last step covered by the first j-1 segments
-            seg = (prefix[b] - prefix[a]).min(axis=1)
-            tot = table[j - 1, a] + seg
-            k = int(np.argmin(tot))
-            table[j, b] = tot[k]
-            split[j, b] = a[k]
+    dp = np.full((n_segments, N), np.inf)
+    dp[0] = cost[0]
+    starts = np.zeros((T, n_segments, N), dtype=bool)  # segment j on column i starts at t
+    before = np.zeros((T, n_segments), dtype=np.intp)  # column of segment j - 1 then
+    rows = np.arange(n_segments - 1)
+    for t in range(1, T):
+        k = dp[:-1].argmin(axis=1)
+        best = dp[rows, k][:, None]
+        new = best < dp[1:]
+        starts[t, 1:] = new
+        before[t, 1:] = k
+        np.copyto(dp[1:], best, where=new)
+        dp += cost[t]
+    col = int(dp[-1].argmin())
+    value = float(dp[-1, col])
     bounds = []
     cols = []
-    b = T
-    for j in range(n_segments, 0, -1):
-        a = 0 if j == 1 else int(split[j, b])
-        cols.append(int(np.argmin(prefix[b] - prefix[a])))
-        bounds.append((a + 1, b))
-        b = a
+    end = T
+    for j in range(n_segments - 1, 0, -1):
+        start = int(np.flatnonzero(starts[:end, j, col])[-1])
+        bounds.append((start + 1, end))
+        cols.append(col)
+        col = int(before[start, j])
+        end = start
+    bounds.append((1, end))
+    cols.append(col)
     bounds.reverse()
     cols.reverse()
-    return float(table[n_segments, T]), bounds, cols
+    return value, bounds, cols
 
 
 @dataclass(frozen=True)
@@ -185,22 +199,17 @@ def best_segmentation(comparator, models, m):
 
     Picks switch times 1 = t_1 < t_2 < ... < t_{m+2} = T + 1 and one model
     per segment minimizing sum_k sum_{t in segment k} ||theta_{t+1} -
-    Phi_{i_k}(theta_t)||.  Exact by dynamic programming.
+    Phi_{i_k}(theta_t)||.  Exact by dynamic programming in O(m * T * N)
+    after one model_deviations pass.  On ties it reports the lowest-index
+    final model, and each segment starts as early as the later ones allow.
     """
     pts = comparator.points if isinstance(comparator, ComparatorSequence) else np.asarray(comparator, dtype=float)
     T = pts.shape[0] - 1
-    models = list(models)
-    if len(models) == 0:
-        raise ValueError("at least one model is required")
     if int(m) != m or m < 0:
         raise ValueError(f"m must be an integer >= 0, got {m}")
     if m >= T:
         raise ValueError(f"m must be < T, got m={m}, T={T}")
-    cost = np.empty((T, len(models)))
-    for i, model in enumerate(models):
-        for t in range(T):
-            d = pts[t + 1] - model.apply(pts[t], t + 1)
-            cost[t, i] = np.linalg.norm(np.ravel(d))
+    cost = model_deviations(pts, models)
     value, bounds, cols = _segmented_min(cost, m + 1)
     segments = tuple(
         (start, end, col, float(cost[start - 1:end, col].sum()))
@@ -262,7 +271,8 @@ def tracking_decomposition_from_losses(dfs_losses, expert_losses, comparator_los
 
     dfs_losses: (T,) losses of the aggregated predictions; expert_losses:
     (T, N) per-expert losses; comparator_losses: (T,) losses of the
-    comparator path.
+    comparator path.  The best expert sequence comes from the same
+    O(m * T * N) DP as best_segmentation, with the same tie rule.
     """
     dfs_losses = np.asarray(dfs_losses, dtype=float)
     expert_losses = np.asarray(expert_losses, dtype=float)
@@ -281,26 +291,6 @@ def tracking_decomposition_from_losses(dfs_losses, expert_losses, comparator_los
         t1=t1, t2=t2, total=t1 + t2, best_sequence_loss=best,
         switch_times=tuple(start for start, _ in bounds[1:]),
         expert_indices=tuple(cols))
-
-
-def tracking_decomposition(losses, dfs_predictions, expert_predictions, comparator, m):
-    """Decomposition computed from prediction trajectories.
-
-    expert_predictions is indexed [expert][t]; the best <= m-switch expert
-    sequence is found by the same DP as best_segmentation, over per-round
-    expert losses instead of path deviations.
-    """
-    T = len(losses)
-    pts = _comparator_points(comparator, T)
-    dfs_losses = np.array([losses[t].value(dfs_predictions[t]) for t in range(T)])
-    expert_losses = np.empty((T, len(expert_predictions)))
-    for i, traj in enumerate(expert_predictions):
-        if len(traj) != T:
-            raise ValueError(f"expert {i} has {len(traj)} predictions, expected {T}")
-        for t in range(T):
-            expert_losses[t, i] = losses[t].value(traj[t])
-    comp_losses = np.array([losses[t].value(pts[t]) for t in range(T)])
-    return tracking_decomposition_from_losses(dfs_losses, expert_losses, comp_losses, m)
 
 
 def fixed_share_bound(n_experts, m, T, eta_r, lam):

@@ -12,7 +12,8 @@ from dynmd import (
     audit_contraction,
     shift_family,
 )
-from dynmd.dynamics import ModelStack
+from dynmd import dynamics
+from dynmd.dynamics import ModelStack, model_deviations
 
 
 def test_identity_model():
@@ -180,20 +181,84 @@ class _Doubling(DynamicalModel):
         return 2.0 * np.asarray(theta, dtype=float)
 
 
-@pytest.mark.parametrize("shape", [(16,), (4, 4)])
+class _TimeScaled(DynamicalModel):
+    label = "time-scaled"
+
+    def apply(self, theta, t=None):
+        return np.asarray(theta, dtype=float) * (1.0 + 0.25 * t)
+
+
+def _attraction_pool():
+    alphas = (0.0, 0.002, 0.1, 0.5, 1.0)
+    return [NetworkAttraction(a) for a in alphas] + [IdentityModel()]
+
+
+def _tied_matrices(rng, n, p):
+    # few distinct magnitudes, signed zeros and all-zero rows: tied scores,
+    # and entries whose every candidate scores 0
+    levels = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    out = rng.choice(levels, size=(n, p, p))
+    out[::3, 0] = 0.0
+    out[1::3, :, -1] = -0.0
+    return out
+
+
+@pytest.mark.parametrize("shape", [(16,), (4, 4), (5, 5)])
 def test_model_stack_rows_equal_each_models_apply(shape):
     rng = np.random.default_rng(73)
-    models = shift_family(4, 4) + [_Doubling(), NetworkAttraction(0.5)]
-    if shape == (16,):
-        models = models[:-1]  # the attraction map needs square matrices
+    if shape == (5, 5):
+        # several attraction rows, one alpha each, share one search
+        models = _attraction_pool() + [_Doubling()]
+        thetas = _tied_matrices(rng, len(models), 5)
+        thetas[1::2] = rng.uniform(-1.0, 1.0, size=thetas[1::2].shape)
+    else:
+        models = shift_family(4, 4) + [_Doubling()]
+        if shape == (4, 4):
+            models.append(NetworkAttraction(0.5))  # needs square matrices
+        thetas = rng.uniform(-1.0, 1.0, size=(len(models),) + shape)
     stack = ModelStack(models, shape)
-    thetas = rng.uniform(-1.0, 1.0, size=(len(models),) + shape)
     out = stack.apply(thetas, 3)
     assert out.shape == thetas.shape
     for i, model in enumerate(models):
         assert same_bits(out[i], model.apply(thetas[i], 3))
     with pytest.raises(ValueError):
         stack.apply(thetas[1:])
+
+
+def _deviation_loop(points, models):
+    # reference: the per-(model, t) loop that model_deviations replaces
+    T = points.shape[0] - 1
+    images = np.empty((len(models),) + points[:-1].shape)
+    norms = np.empty((T, len(models)))
+    for i, model in enumerate(models):
+        for t in range(T):
+            images[i, t] = model.apply(points[t], t + 1)
+            norms[t, i] = np.linalg.norm(np.ravel(points[t + 1] - images[i, t]))
+    return images, norms
+
+
+@pytest.mark.parametrize("kind", ["zero", "wrap", "attraction"])
+@pytest.mark.parametrize("scratch", [None, 3000])
+def test_model_deviations_match_per_point_apply(kind, scratch, monkeypatch):
+    if scratch is not None:
+        # a budget of a few points per chunk exercises the chunk seams
+        monkeypatch.setattr(dynamics, "_SCRATCH_BYTES", scratch)
+    rng = np.random.default_rng(83)
+    T = 23
+    if kind == "attraction":
+        models = _attraction_pool() + [_TimeScaled()]
+        points = _tied_matrices(rng, T + 1, 4)
+        points[1::2] = rng.uniform(-1.0, 1.0, size=points[1::2].shape)
+    else:
+        models = shift_family(3, 4, boundary=kind) + [_TimeScaled()]
+        points = rng.uniform(-1.0, 1.0, size=(T + 1, 12))
+    want_images, want = _deviation_loop(points, models)
+    stack = ModelStack(models, points.shape[1:])
+    assert scratch is None or stack.chunk_length() < T
+    assert same_bits(stack.images(points[:-1], 1), want_images)
+    got = model_deviations(points, models)
+    assert got.shape == (T, len(models))
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def _attraction_two_gathers(alpha, theta):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynmd import (
     BoundConstants,
@@ -21,11 +23,11 @@ from dynmd import (
     static_regret,
     theorem2_bound,
     theorem2_curve,
-    tracking_decomposition,
     tracking_decomposition_from_losses,
     variation,
     variation_phi,
 )
+from dynmd.regret import _segmented_min
 
 
 def random_losses(rng, T, m, n, tau=0.0):
@@ -244,13 +246,15 @@ def test_tracking_decomposition_sums_to_regret():
     expert_preds = [[rng.normal(size=2) for _ in range(T)] for _ in range(N)]
     pts = rng.normal(size=(T + 1, 2))
     comp = ComparatorSequence(pts)
-    res = tracking_decomposition(losses, dfs_preds, expert_preds, comp, m=2)
+    dfs_losses = np.array([losses[t].value(dfs_preds[t]) for t in range(T)])
+    cost = np.array([[losses[t].value(expert_preds[i][t]) for i in range(N)]
+                     for t in range(T)])
+    comp_losses = np.array([losses[t].value(pts[t]) for t in range(T)])
+    res = tracking_decomposition_from_losses(dfs_losses, cost, comp_losses, m=2)
     total = regret(losses, dfs_preds, comp)
     assert res.t1 + res.t2 == pytest.approx(total, abs=1e-10)
     assert res.total == pytest.approx(total, abs=1e-10)
     # brute force the best <= 2-switch expert sequence
-    cost = np.array([[losses[t].value(expert_preds[i][t]) for i in range(N)]
-                     for t in range(T)])
     want = brute_force_segmented(cost, N, 2)
     assert res.best_sequence_loss == pytest.approx(want, abs=1e-10)
     # reported sequence reproduces the reported loss
@@ -260,6 +264,65 @@ def test_tracking_decomposition_sums_to_regret():
     for (s, e), i in zip(zip(starts, ends), res.expert_indices):
         got += cost[s - 1:e - 1, i].sum()
     assert got == pytest.approx(res.best_sequence_loss, abs=1e-10)
+
+
+def _brute_force_exact_segments(cost, n_segments):
+    # every placement of n_segments - 1 cuts, each segment on its best column
+    T = cost.shape[0]
+    best = math.inf
+    for cuts in itertools.combinations(range(1, T), n_segments - 1):
+        bounds = zip((0,) + cuts, cuts + (T,))
+        best = min(best, sum(cost[a:b].sum(axis=0).min() for a, b in bounds))
+    return best
+
+
+@st.composite
+def switching_costs(draw):
+    T = draw(st.integers(1, 10))
+    N = draw(st.integers(1, 4))
+    m = draw(st.integers(0, T - 1))
+    if draw(st.booleans()):
+        cells = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    else:
+        cells = st.integers(0, 2).map(float)  # many exact ties
+    rows = draw(st.lists(st.lists(cells, min_size=N, max_size=N),
+                         min_size=T, max_size=T))
+    return np.array(rows), m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(switching_costs())
+def test_switching_dp_matches_brute_force(case):
+    cost, m = case
+    T = cost.shape[0]
+    value, bounds, cols = _segmented_min(cost, m + 1)
+    scale = max(1.0, np.abs(cost).sum())
+    assert abs(value - _brute_force_exact_segments(cost, m + 1)) <= 1e-10 * scale
+    # m + 1 contiguous nonempty segments covering 1..T, costs summing to the value
+    assert len(bounds) == len(cols) == m + 1
+    assert bounds[0][0] == 1 and bounds[-1][1] == T
+    assert all(s <= e for s, e in bounds)
+    assert all(e + 1 == s for (_, e), (s, _) in zip(bounds, bounds[1:]))
+    seg_total = sum(cost[s - 1:e, i].sum() for (s, e), i in zip(bounds, cols))
+    assert abs(seg_total - value) <= 1e-10 * scale
+    res = tracking_decomposition_from_losses(np.zeros(T), cost, np.zeros(T), m)
+    assert res.best_sequence_loss == value
+    assert res.switch_times == tuple(s for s, _ in bounds[1:])
+    assert res.expert_indices == tuple(cols)
+
+
+def test_switching_dp_tie_rule():
+    # all columns tie: lowest-index columns, redundant segments first
+    value, bounds, cols = _segmented_min(np.ones((6, 3)), 3)
+    assert value == 6.0
+    assert bounds == [(1, 1), (2, 2), (3, 6)]
+    assert cols == [0, 0, 0]
+    # one real switch, m = 2: the spare segment goes to the start
+    cost = np.array([[0.0, 1.0]] * 3 + [[1.0, 0.0]] * 3)
+    value, bounds, cols = _segmented_min(cost, 3)
+    assert value == 0.0
+    assert bounds == [(1, 1), (2, 3), (4, 6)]
+    assert cols == [0, 0, 1]
 
 
 def test_tracking_decomposition_from_losses_validation():
