@@ -1,4 +1,10 @@
-from .config import merge_options, parse_config, parse_floats, parse_trajectory
+from .config import (
+    merge_options,
+    parse_bool,
+    parse_config,
+    parse_floats,
+    parse_trajectory,
+)
 from .runner import (
     RunEvaluation,
     ScenarioResult,
@@ -25,6 +31,7 @@ __all__ = [
     "generate_video",
     "load_votes",
     "merge_options",
+    "parse_bool",
     "parse_config",
     "parse_floats",
     "parse_trajectory",

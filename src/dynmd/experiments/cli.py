@@ -21,7 +21,13 @@ from ..dynamics import NetworkAttraction, shift_family
 from ..fixedshare import default_lambda
 from ..geometry import Box, ConstantStep, DoublingStep, SquaredEuclidean
 from ..regret import tracking_decomposition_from_losses
-from .config import merge_options, parse_config, parse_floats, parse_trajectory
+from .config import (
+    merge_options,
+    parse_bool,
+    parse_config,
+    parse_floats,
+    parse_trajectory,
+)
 from .runner import (
     evaluate_run,
     read_losses_csv,
@@ -62,21 +68,12 @@ AUDIT_DEFAULTS = {
 }
 
 
-def _str2bool(text):
-    low = text.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
-
-
 def _add_flags(parser, defaults):
     parser.add_argument("--config", default=None, help="key=value options file")
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
-            parser.add_argument(flag, type=_str2bool, default=None)
+            parser.add_argument(flag, type=parse_bool, default=None)
         else:
             parser.add_argument(flag, type=type(value), default=None)
 

@@ -24,22 +24,28 @@ def parse_config(path):
     return out
 
 
+def parse_bool(text):
+    """'1'/'true'/'yes'/'on' -> True, '0'/'false'/'no'/'off' -> False,
+    any case; the command-line flags and config files share it."""
+    low = text.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
 def _coerce(key, text, like):
-    if isinstance(like, bool):
-        low = text.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"option {key!r}: expected a boolean, got {text!r}")
     try:
+        if isinstance(like, bool):
+            return parse_bool(text)
         if isinstance(like, int):
             return int(text)
         if isinstance(like, float):
             return float(text)
     except ValueError:
-        raise ValueError(
-            f"option {key!r}: expected {type(like).__name__}, got {text!r}") from None
+        kind = "a boolean" if isinstance(like, bool) else type(like).__name__
+        raise ValueError(f"option {key!r}: expected {kind}, got {text!r}") from None
     return text
 
 

@@ -2,18 +2,30 @@
 grid, observed each round through a fresh Gaussian sensing matrix.
 
 Sensing matrices are drawn on demand from per-round child seeds, so a long
-run never holds more than one (measurements x pixels) matrix at a time.
-Observations are built lazily too: set-up stores the frames and the
-(T, measurements) noise block, and the round-t observation
-x_t = A_t frame_{t-1} + noise_{t-1} is formed from the one matrix that
-loss(t) draws, so a run draws each matrix once.  Frames are cheap and are
-stored for the whole horizon: frame t - 1 in the stack is the scene the
-round-t observation measured, and the extra final frame closes the path
-for variation measures.
+run never holds the whole (T, measurements, pixels) stack.  Observations
+are built lazily too: set-up stores the frames and the (T, measurements)
+noise block, and the round-t observation x_t = A_t frame_{t-1} + noise_{t-1}
+is formed from the one matrix that loss(t) draws, so a run draws each
+matrix once.  Frames are cheap and are stored for the whole horizon: frame
+t - 1 in the stack is the scene the round-t observation measured, and the
+extra final frame closes the path for variation measures.
+
+A matrix depends only on the seed and the round, never on the learner's
+play, so it is drawn ahead of time.  When round t's matrix is asked for,
+one worker thread draws the raw normals of rounds t+1 .. t+LOOKAHEAD into
+a ring of LOOKAHEAD preallocated (measurements x pixels) float64 buffers
+(1.6 MB at the defaults) while the caller runs its round; numpy's
+generator releases the interpreter lock while it fills them.  The caller
+scales a finished buffer by 1/sqrt(measurements) itself, the same
+operation as the synchronous draw, so every matrix is bit-identical to
+_sensing_matrix.  A round with no pending draw (random access, a replay
+that restarts at round 1) is drawn synchronously, and identity sensing
+never starts the thread.
 """
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +33,7 @@ from ..dynamics import DIRECTIONS
 from ..losses import least_squares
 
 STAY = 8  # trajectory direction code for "hold still"
+LOOKAHEAD = 2  # rounds whose sensing matrices are drawn ahead of the caller
 
 
 @dataclass(frozen=True)
@@ -81,13 +94,67 @@ class VideoScenario:
         return code
 
 
+def _sensing_rng(scenario, t):
+    return np.random.default_rng(
+        np.random.SeedSequence(scenario.seed, spawn_key=(0, t)))
+
+
 def _sensing_matrix(scenario, t):
+    """Round t's sensing matrix, drawn synchronously: the reference the
+    lookahead must reproduce bit for bit."""
     if scenario.identity_sensing:
         return np.eye(scenario.rows * scenario.cols)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(scenario.seed, spawn_key=(0, t)))
     m = scenario.measurements
-    return rng.standard_normal(size=(m, scenario.rows * scenario.cols)) / math.sqrt(m)
+    return (_sensing_rng(scenario, t).standard_normal(
+        size=(m, scenario.rows * scenario.cols)) / math.sqrt(m))
+
+
+def _draw_raw(scenario, t, out):
+    # runs on the worker thread, so it calls numpy only: dynmd's functions
+    # may be wrapped by instrumentation that assumes a single thread
+    _sensing_rng(scenario, t).standard_normal(out=out)
+
+
+class _SensingLookahead:
+    """Draws the raw normals of the next LOOKAHEAD rounds on one worker
+    thread.  Round r's draw fills buffer r % LOOKAHEAD; pending rounds
+    always lie in (t, t + LOOKAHEAD] of the last round t asked for, so
+    their slots never collide.  The lock serialises callers; the worker
+    touches only its buffer.  The thread exits once the executor is
+    garbage-collected with its VideoData, or at interpreter exit."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self._lock = threading.Lock()
+        self._pending = {}  # round -> future of the draw filling its buffer
+        self._buffers = None  # allocated with the executor, on first use
+        self._executor = None
+
+    def matrix(self, t):
+        s = self.scenario
+        with self._lock:
+            future = self._pending.pop(t, None)
+            if future is None:
+                A = _sensing_matrix(s, t)
+            else:
+                future.result()
+                A = self._buffers[t % LOOKAHEAD] / math.sqrt(s.measurements)
+            ahead = range(t + 1, min(t + LOOKAHEAD, s.T) + 1)
+            for r in [r for r in self._pending if r not in ahead]:
+                self._pending.pop(r).result()  # its buffer is about to be reused
+            if self._executor is None and ahead:
+                # imported here: it pulls in logging, which runs that never
+                # draw a Gaussian matrix need not load
+                from concurrent.futures import ThreadPoolExecutor
+                shape = (s.measurements, s.rows * s.cols)
+                self._buffers = [np.empty(shape) for _ in range(LOOKAHEAD)]
+                self._executor = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="dynmd-sensing")
+            for r in ahead:
+                if r not in self._pending:
+                    self._pending[r] = self._executor.submit(
+                        _draw_raw, s, r, self._buffers[r % LOOKAHEAD])
+            return A
 
 
 def _render(rows, cols, block, r, c, wrap):
@@ -108,6 +175,13 @@ class VideoData:
     noise: np.ndarray  # (T, measurements), the observation noise of each round
     clipped_steps: tuple  # rounds where a wall blocked the nominal move
     tau_default: float
+    # per instance, so dataclasses.replace never shares one scenario's draws
+    _lookahead: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lookahead = (None if self.scenario.identity_sensing
+                     else _SensingLookahead(self.scenario))
+        object.__setattr__(self, "_lookahead", lookahead)
 
     @property
     def T(self):
@@ -118,10 +192,13 @@ class VideoData:
         return self.scenario.rows * self.scenario.cols
 
     def matrix(self, t):
-        """Sensing matrix of round t (1-based), regenerated from its seed."""
+        """Sensing matrix of round t (1-based), regenerated from its seed;
+        starts the draws of the next LOOKAHEAD rounds."""
         if not (1 <= t <= self.T):
             raise ValueError(f"t must lie in [1, {self.T}], got {t}")
-        return _sensing_matrix(self.scenario, t)
+        if self._lookahead is None:
+            return _sensing_matrix(self.scenario, t)
+        return self._lookahead.matrix(t)
 
     def _observe(self, A, t):
         return A @ self.frames[t - 1] + self.noise[t - 1]

@@ -100,6 +100,10 @@ def synthetic_votes(n_agents=20, T=2000, drift_alpha=0.003, seed=0,
         raise ValueError(f"init_scale must lie in (0, 1], got {init_scale}")
     if not (0.0 <= missing_prob < 1.0):
         raise ValueError(f"missing_prob must lie in [0, 1), got {missing_prob}")
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(seed)
     model = NetworkAttraction(drift_alpha)
     theta = rng.uniform(-init_scale, init_scale, size=(n_agents, n_agents))

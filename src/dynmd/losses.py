@@ -22,7 +22,13 @@ of experts scores and differentiates one round's loss in a single call.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+
+def logistic(z):
+    """Elementwise 1 / (1 + exp(-z)).  exp is only taken of -|z|, so it
+    cannot overflow for any z, infinities included."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class L1Regularizer:
@@ -141,7 +147,7 @@ class IsingPseudolikelihoodLoss:
 
     def _gradient(self, z):
         x = self.votes
-        u = -2.0 * x * (1.0 - expit(z))
+        u = -2.0 * x * (1.0 - logistic(z))
         g = u[..., :, None] * x
         idx = np.arange(self.p)
         g[..., idx, idx] = u

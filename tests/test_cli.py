@@ -61,6 +61,21 @@ def test_run_votes_synthetic(tmp_path, capsys):
     assert sum(1 for k in agents if k.startswith("agent_")) == 6
 
 
+def test_run_votes_rejects_bad_gibbs_sweeps(tmp_path, capsys):
+    for sweeps in ("0", "-1"):
+        assert main(["run-votes", "--agents", "4", "--t", "5", "--sweeps",
+                     sweeps, "--out", str(tmp_path / "vv")]) == 2
+        assert "sweeps" in capsys.readouterr().err
+    assert not (tmp_path / "vv").exists()
+
+
+def test_bad_boolean_flag_names_the_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(VIDEO_ARGS + ["--identity-sensing", "maybe"])
+    assert exc.value.code == 2
+    assert "'maybe'" in capsys.readouterr().err
+
+
 def test_run_votes_from_file_has_no_comparator(tmp_path):
     votes = tmp_path / "votes.csv"
     rng = np.random.default_rng(0)

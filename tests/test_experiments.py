@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,7 @@ from dynmd.experiments import (
     write_losses_csv,
     write_weights_csv,
 )
+from dynmd.experiments.video import _sensing_matrix
 
 
 def small_scenario(**kw):
@@ -130,19 +135,83 @@ def _eager_sensing(scenario, frames):
     return pairs
 
 
+def _access_orders(T):
+    return {
+        "forward": list(range(1, T + 1)),
+        # a replay restarts at round 1 after the lookahead ran out at T
+        "replay": list(range(1, T + 1)) + list(range(1, T + 1)),
+        "shuffled": list(np.random.default_rng(7).permutation(
+            np.arange(1, T + 1).repeat(2))),
+        "repeat": [t for t in range(1, T + 1) for _ in (0, 1)],
+    }
+
+
 @pytest.mark.parametrize("kw", [dict(seed=0), dict(seed=1), dict(seed=2),
                                 dict(identity_sensing=True)])
 def test_lazy_video_loss_matches_eager_construction(kw):
-    data = generate_video(small_scenario(T=5, **kw))
-    pairs = _eager_sensing(data.scenario, data.frames)
-    for t, (A, x) in enumerate(pairs, start=1):
-        loss = data.loss(t)
-        assert np.array_equal(loss.f.A.view(np.uint64), A.view(np.uint64))
-        assert np.array_equal(loss.f.x.view(np.uint64), x.view(np.uint64))
-        assert np.array_equal(data.observation(t).view(np.uint64),
-                              x.view(np.uint64))
+    # each access order on fresh data: the rounds drawn ahead must equal
+    # the synchronous draw bit for bit, whichever round is asked for next
+    scenario = small_scenario(T=5, **kw)
+    for order in _access_orders(scenario.T).values():
+        data = generate_video(scenario)
+        pairs = _eager_sensing(data.scenario, data.frames)
+        for t in order:
+            A, x = pairs[t - 1]
+            loss = data.loss(t)
+            assert np.array_equal(loss.f.A.view(np.uint64), A.view(np.uint64))
+            assert np.array_equal(loss.f.A.view(np.uint64),
+                                  _sensing_matrix(scenario, t).view(np.uint64))
+            assert np.array_equal(loss.f.x.view(np.uint64), x.view(np.uint64))
+            assert np.array_equal(data.observation(t).view(np.uint64),
+                                  x.view(np.uint64))
     A1, x1 = pairs[0]
     assert data.tau_default == 0.01 * float(np.abs(A1.T @ x1).max())
+
+
+def test_identity_sensing_starts_no_thread():
+    before = threading.active_count()
+    data = generate_video(small_scenario(T=5, identity_sensing=True))
+    for t in range(1, data.T + 1):
+        data.loss(t)
+    assert threading.active_count() == before
+
+
+def test_concurrent_callers_get_their_rounds_matrices():
+    data = generate_video(small_scenario(T=8, seed=3))
+    want = [_sensing_matrix(data.scenario, t) for t in range(1, data.T + 1)]
+    bad = []
+
+    def call(seed):
+        try:
+            for t in np.random.default_rng(seed).integers(1, data.T + 1, size=60):
+                if not np.array_equal(data.matrix(int(t)), want[t - 1]):
+                    bad.append(int(t))
+        except Exception as exc:  # a thread's error must fail the test
+            bad.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert bad == []
+
+
+def test_replaced_video_data_draws_its_own_scenario():
+    data = generate_video(small_scenario(T=5, seed=0))
+    data.matrix(1)  # rounds 2 and 3 of seed 0 are now being drawn ahead
+    other = dataclasses.replace(data, scenario=small_scenario(T=5, seed=1))
+    for t in range(1, other.T + 1):
+        assert np.array_equal(other.matrix(t).view(np.uint64),
+                              _sensing_matrix(other.scenario, t).view(np.uint64))
+    assert np.array_equal(data.matrix(2).view(np.uint64),
+                          _sensing_matrix(data.scenario, 2).view(np.uint64))
 
 
 def test_video_scenario_validation():
@@ -230,6 +299,10 @@ def test_synthetic_votes_properties():
         synthetic_votes(missing_prob=1.5)
     with pytest.raises(ValueError):
         synthetic_votes(init_scale=0.0)
+    with pytest.raises(ValueError, match="sweeps"):
+        synthetic_votes(n_agents=4, T=5, sweeps=0)
+    with pytest.raises(ValueError, match="burn_in"):
+        synthetic_votes(n_agents=4, T=5, burn_in=-1)
 
 
 def test_run_scenario_single_expert_matches_plain_dmd():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import central_diff, rel_err
 from dynmd import (
@@ -11,6 +12,7 @@ from dynmd import (
     least_squares,
     vote_pseudolikelihood,
 )
+from dynmd.losses import logistic
 
 
 def ls_value_oracle(A, x, theta):
@@ -141,6 +143,18 @@ def test_ising_value_overflow_safe():
     assert v == pytest.approx(0.0, abs=1e-100)  # softplus(-z) underflows to 0 for huge z
     g = loss.gradient(theta)
     assert np.all(np.isfinite(g))
+
+
+def test_logistic_matches_expit_without_fp_warnings():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.normal(scale=s, size=20000) for s in (0.1, 1, 5, 40)]
+                       + [np.array([0.0, -0.0, 36.0, -36.0, 709.0, -709.0, 710.0,
+                                    -710.0, 745.0, -745.0, 1e3, -1e3, np.inf,
+                                    -np.inf])])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = logistic(z)
+    assert np.abs(got - expit(z)).max() <= 2.3e-16
+    assert logistic(np.array([np.inf, -np.inf])).tolist() == [1.0, 0.0]
 
 
 def test_ising_missing_vote_row_independence():
