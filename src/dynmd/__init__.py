@@ -38,7 +38,6 @@ from .dynamics import (
 from .dmd import DmdState, comid_init, comid_step, dmd_init, dmd_step, lemma1_check
 from .fixedshare import (
     FixedShareState,
-    aggregate_prediction,
     default_lambda,
     dfs_step,
     fixed_share_init,
@@ -73,8 +72,7 @@ __all__ = [
     "NetworkAttraction", "PixelShift", "audit_contraction", "shift_family",
     "DmdState", "comid_init", "comid_step", "dmd_init", "dmd_step",
     "lemma1_check",
-    "FixedShareState", "aggregate_prediction", "default_lambda", "dfs_step",
-    "fixed_share_init",
+    "FixedShareState", "default_lambda", "dfs_step", "fixed_share_init",
     "ComparatorSequence", "SegmentationResult", "TrackingDecomposition",
     "best_segmentation", "cumulative_regret", "fixed_share_bound",
     "least_squares_minimizer", "moving_average", "regret", "static_regret",

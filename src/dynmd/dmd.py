@@ -7,12 +7,17 @@ One step at time t from prediction theta_hat_t:
         + D(theta || theta_hat_t)
     theta_hat_{t+1}   = Phi(theta_tilde_{t+1})
 
-For the scaled squared Euclidean geometry (scale c) the argmin has the
-closed form: gradient step v = theta_hat - (eta_t / 2c) grad, soft
-threshold at kappa = eta_t / 2c, then project.  The composite objective
-separates per coordinate and each 1-D piece is strictly convex, so
-prox-then-clamp is exact for every box set; ball sets fall back to a
-projected-subgradient inner loop.  The prox is applied only on steps with
+For the scaled squared Euclidean geometry (scale c) the argmin is
+project(soft_threshold(v)): gradient step v = theta_hat - kappa grad with
+kappa = eta_t / 2c, soft threshold at kappa tau, then project.  Without
+the l1 term the objective is c ||theta - v||^2 + const, so projecting v is
+exact on every convex set.  With it the composition is exact on boxes
+(the objective separates per coordinate), on the 2-ball centred at 0
+(Yu, "On Decomposing the Proximal Map", NeurIPS 2013) and on the 1-ball
+centred at 0 (the result is one soft threshold at max(kappa tau,
+lambda*), lambda* the threshold that projects v onto the ball).  On an
+off-centre ball it is not exact, so a round that would apply the prox
+there raises ValueError.  The prox is applied only on steps with
 t % reg_period == 0 (reg_period = 1 means every step).  COMID is the
 special case Phi = identity with reg_period = 1.
 
@@ -64,34 +69,6 @@ def comid_init(geom, fset, schedule, theta0=None):
     return dmd_init(geom, fset, IdentityModel(), schedule, reg_period=1, theta0=theta0)
 
 
-def _inner_objective(geom, loss, g, theta_hat, eta, with_reg, theta):
-    val = eta * float(np.vdot(g, theta)) + geom.divergence(theta, theta_hat)
-    if with_reg:
-        val += eta * loss.r_value(theta)
-    return val
-
-
-def _solve_inner(geom, fset, loss, g, theta_hat, eta, with_reg,
-                 max_iter=200, rel_tol=1e-8):
-    """Projected subgradient loop for non-box sets (strongly convex objective)."""
-    c = geom.scale
-    theta = fset.project(theta_hat)
-    best = theta
-    best_val = _inner_objective(geom, loss, g, theta_hat, eta, with_reg, theta)
-    for k in range(1, max_iter + 1):
-        sub = eta * g + 2.0 * c * (theta - theta_hat)
-        if with_reg:
-            sub = sub + eta * loss.r.subgradient(theta)
-        theta = fset.project(theta - sub / (c * (k + 1.0)))
-        val = _inner_objective(geom, loss, g, theta_hat, eta, with_reg, theta)
-        if val < best_val:
-            improved = best_val - val
-            best, best_val = theta, val
-            if improved <= rel_tol * max(1.0, abs(best_val)):
-                break
-    return best
-
-
 class StepPlan:
     """How a pool of DMD states takes its stacked step.
 
@@ -140,14 +117,12 @@ def _theta_tildes(state, loss, thetas, grads, t, names):
     kappa = eta / (2.0 * state.geom.scale)
     v = thetas - kappa * grads
     require_finite(v, "step", t, names)
-    if isinstance(state.fset, Ball) and needs_reg:
-        # prox-then-project is not exact on balls; see module docstring
-        return np.stack([_solve_inner(state.geom, state.fset, loss, g, th, eta, True)
-                         for th, g in zip(thetas, grads)])
-    # without the l1 term the objective is c * ||theta - v||^2 + const,
-    # so projecting v is exact for any convex set; with it, prox-then-
-    # clamp is exact per coordinate on boxes
     if needs_reg:
+        # exact on boxes and centred balls; see module docstring
+        if isinstance(state.fset, Ball) and np.any(state.fset.center):
+            raise ValueError(
+                f"prox on an off-centre ball at round t={t}, {names[0]}: "
+                "project(soft_threshold(v)) is exact only for balls centred at 0")
         v = loss.prox_r(v, kappa)
     return state.fset.project_stack(v)
 

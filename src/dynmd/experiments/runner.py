@@ -168,14 +168,11 @@ def evaluate_run(result, models, m=0, window=30):
     constants = []
     curves = np.empty((T, n))
     for i, e in enumerate(experts):
-        g = max(result.subgrad_norms[:, i].max(),
-                result.comparator_subgrad_norms.max())
-        big_m = e.geom.scale * max(result.pred_norms[:, i].max(),
-                                   result.comparator_norms.max())
-        consts = BoundConstants(
-            g_ell=float(g), big_m=float(big_m),
-            d_max=float(result.comparator_divergences[:, i].max()),
-            sigma=e.geom.sigma)
+        consts = BoundConstants.from_samples(
+            e.geom,
+            (result.subgrad_norms[:, i].max(), result.comparator_subgrad_norms.max()),
+            (result.pred_norms[:, i].max(), result.comparator_norms.max()),
+            result.comparator_divergences[:, i])
         constants.append(consts)
         curves[:, i] = theorem2_curve(consts, e.schedule, deviations[:, i])
     decomposition = tracking_decomposition_from_losses(

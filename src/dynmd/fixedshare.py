@@ -78,13 +78,6 @@ def fixed_share_init(experts, lam, eta_r, weights=None):
                            experts=experts, t=1, plan=StepPlan(experts))
 
 
-def aggregate_prediction(state, weights=None):
-    """Convex combination of the experts' current predictions."""
-    w = state.weights if weights is None else np.asarray(weights, dtype=float)
-    preds = np.stack([e.theta_hat for e in state.experts])
-    return np.tensordot(w / w.sum(), preds, axes=1)
-
-
 def _resolve_eta_r(eta_r, t):
     if isinstance(eta_r, StepSchedule):
         return eta_r.eta(t)
@@ -103,12 +96,11 @@ def dfs_step(state, loss, t=None, evaluated=None):
         t = state.t
     elif t != state.t:
         raise ValueError(f"step called with t={t} but state clock is {state.t}")
-    plan = state.plan if state.plan is not None else StepPlan(state.experts)
     preds = np.stack([e.theta_hat for e in state.experts])
     if evaluated is None:
         evaluated = loss.values_and_grads(preds)
     losses, grads = evaluated
-    require_finite(losses, "loss value", t, plan.names)
+    require_finite(losses, "loss value", t, state.plan.names)
     eta_r = _resolve_eta_r(state.eta_r, t)
     with np.errstate(divide="ignore"):  # a zero weight is a valid -inf log weight
         logw = np.log(state.weights) - eta_r * losses
@@ -118,6 +110,6 @@ def dfs_step(state, loss, t=None, evaluated=None):
     w = (state.lam / n) * total + (1.0 - state.lam) * wtilde
     w = w / w.sum()
     aggregated = np.tensordot(w, preds, axes=1)
-    experts = advance(state.experts, loss, preds, grads, t, plan)
+    experts = advance(state.experts, loss, preds, grads, t, state.plan)
     new_state = replace(state, weights=w, experts=experts, t=t + 1)
     return new_state, aggregated, losses

@@ -246,9 +246,6 @@ class StepSchedule:
         T = self._check_t(T)
         return np.array([self.eta(t) for t in range(1, T + 1)])
 
-    def eta_sum(self, T):
-        return float(self.etas(T).sum())
-
 
 class ConstantStep(StepSchedule):
     def __init__(self, eta):
@@ -324,8 +321,8 @@ class BoundConstants:
     """Sampled problem constants used by certificate checks and bounds.
 
     g_ell  -- max composite subgradient norm over the sample
-    big_m  -- max of 0.5 * ||grad psi|| over the sample
-    d_max  -- max pairwise Bregman divergence over the sample
+    big_m  -- max of 0.5 * ||grad psi|| = scale * ||theta|| over the sample
+    d_max  -- max Bregman divergence over the sampled pairs
     sigma  -- strong-convexity modulus of the geometry (recorded, not inferred)
 
     Sampled maxima are lower bounds on the true suprema; they can only grow
@@ -337,37 +334,30 @@ class BoundConstants:
     d_max: float
     sigma: float
 
-
-def _loss_subgradient(loss, p):
-    if hasattr(loss, "subgradient"):
-        return loss.subgradient(p)
-    return loss.gradient(p)
+    @classmethod
+    def from_samples(cls, geom, subgrad_norms, point_norms, divergences):
+        """The constants of geom from sampled subgradient norms, point norms
+        and divergences (any nonempty array-likes)."""
+        return cls(g_ell=float(np.max(subgrad_norms)),
+                   big_m=geom.scale * float(np.max(point_norms)),
+                   d_max=float(np.max(divergences)), sigma=geom.sigma)
 
 
 def estimate_bound_constants(geom, fset, losses, points):
     """Estimate (g_ell, big_m, d_max, sigma) over finite samples.
 
-    losses is a sequence of loss objects exposing gradient() (and optionally
-    subgradient() for composites); points is a sequence of parameter points
-    or a stacked array.  Every point must belong to fset.
+    losses is a sequence of composite losses; points is a sequence of
+    parameter points or a stacked array.  Every point must belong to fset.
     """
     pts = [np.asarray(p, dtype=float) for p in points]
-    if len(pts) == 0:
-        raise ValueError("points must be non-empty")
     for p in pts:
         if not fset.contains(p, tol=1e-7):
             raise ValueError("sample point outside the feasible set")
-    g_ell = 0.0
-    for loss in losses:
-        for p in pts:
-            g = _loss_subgradient(loss, p)
-            g_ell = max(g_ell, float(np.linalg.norm(np.ravel(g))))
-    big_m = max(0.5 * float(np.linalg.norm(np.ravel(geom.grad_psi(p)))) for p in pts)
-    flat = np.stack([p.ravel() for p in pts])
-    if isinstance(geom, SquaredEuclidean):
-        sq = np.sum(flat * flat, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * flat @ flat.T
-        d_max = geom.scale * float(np.maximum(d2, 0.0).max())
-    else:
-        d_max = max(geom.divergence(a, b) for a in pts for b in pts)
-    return BoundConstants(g_ell=g_ell, big_m=big_m, d_max=d_max, sigma=geom.sigma)
+    subgrad_norms = [np.linalg.norm(np.ravel(loss.subgradient(p)))
+                     for loss in losses for p in pts]
+    if not subgrad_norms:
+        raise ValueError("points and losses must be non-empty")
+    stack = np.stack(pts)
+    return BoundConstants.from_samples(
+        geom, subgrad_norms, [np.linalg.norm(p.ravel()) for p in pts],
+        [geom.divergences(p, stack).max() for p in pts])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -157,3 +162,13 @@ def test_divergent_run_is_a_clean_error(tmp_path, capsys):
     assert err.startswith("error: non-finite loss value at round t=")
     assert "expert 0 (E)" in err
     assert "Traceback" not in err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test extra only: the package and its CLI must not import it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, dynmd, dynmd.experiments.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "False"

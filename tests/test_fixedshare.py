@@ -17,7 +17,6 @@ from dynmd import (
     PixelShift,
     SquaredEuclidean,
     Unconstrained,
-    aggregate_prediction,
     default_lambda,
     dfs_step,
     dmd_init,
@@ -193,18 +192,6 @@ def test_better_expert_accumulates_weight():
         state, _, _ = dfs_step(state, loss)
     assert state.weights[0] > 0.8
     assert state.weights[0] > state.weights[1]
-
-
-def test_aggregate_prediction_oracle():
-    experts = make_experts(3, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    state = fixed_share_init(experts, lam=0.1, eta_r=1.0,
-                             weights=np.array([0.5, 0.25, 0.25]))
-    want = 0.5 * np.array([1.0, 0.0]) + 0.25 * np.array([0.0, 1.0]) \
-        + 0.25 * np.array([1.0, 1.0])
-    assert np.allclose(aggregate_prediction(state), want, atol=1e-15)
-    # explicit weights are normalized before use
-    doubled = aggregate_prediction(state, weights=np.array([1.0, 0.5, 0.5]))
-    assert np.allclose(doubled, want, atol=1e-15)
 
 
 def test_default_lambda_values_and_errors():
