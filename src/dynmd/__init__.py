@@ -49,10 +49,7 @@ from .regret import (
     best_segmentation,
     cumulative_regret,
     fixed_share_bound,
-    least_squares_minimizer,
     moving_average,
-    regret,
-    static_regret,
     theorem2_bound,
     theorem2_curve,
     tracking_decomposition_from_losses,
@@ -75,7 +72,6 @@ __all__ = [
     "FixedShareState", "default_lambda", "dfs_step", "fixed_share_init",
     "ComparatorSequence", "SegmentationResult", "TrackingDecomposition",
     "best_segmentation", "cumulative_regret", "fixed_share_bound",
-    "least_squares_minimizer", "moving_average", "regret", "static_regret",
-    "theorem2_bound", "theorem2_curve", "tracking_decomposition_from_losses",
-    "variation", "variation_phi",
+    "moving_average", "theorem2_bound", "theorem2_curve",
+    "tracking_decomposition_from_losses", "variation", "variation_phi",
 ]

@@ -18,9 +18,10 @@ a ring of LOOKAHEAD preallocated (measurements x pixels) float64 buffers
 generator releases the interpreter lock while it fills them.  The caller
 scales a finished buffer by 1/sqrt(measurements) itself, the same
 operation as the synchronous draw, so every matrix is bit-identical to
-_sensing_matrix.  A round with no pending draw (random access, a replay
-that restarts at round 1) is drawn synchronously, and identity sensing
-never starts the thread.
+_sensing_matrix.  Round 1's matrix, drawn at set-up for the default l1
+weight, serves the first request for round 1.  Any other round with no
+pending draw (random access, a replay that restarts at round 1) is drawn
+synchronously, and identity sensing never starts the thread.
 """
 
 import math
@@ -125,6 +126,8 @@ class _SensingLookahead:
 
     def __init__(self, scenario):
         self.scenario = scenario
+        # round 1's matrix when set-up already drew it; handed out once
+        self.first = None
         self._lock = threading.Lock()
         self._pending = {}  # round -> future of the draw filling its buffer
         self._buffers = None  # allocated with the executor, on first use
@@ -134,7 +137,9 @@ class _SensingLookahead:
         s = self.scenario
         with self._lock:
             future = self._pending.pop(t, None)
-            if future is None:
+            if t == 1 and self.first is not None:
+                A, self.first = self.first, None
+            elif future is None:
                 A = _sensing_matrix(s, t)
             else:
                 future.result()
@@ -222,7 +227,7 @@ def generate_video(scenario):
     """Simulate the scenario; returns a VideoData with frames, observation
     noise, and the rounds where clipping bent the path away from its own
     motion.  Of the sensing matrices only round 1's is drawn here, for the
-    default l1 weight."""
+    default l1 weight; the first loss(1) or matrix(1) reuses that draw."""
     s = scenario
     wrap = s.boundary == "wrap"
     r, c = s.start_row, s.start_col
@@ -247,5 +252,8 @@ def generate_video(scenario):
     noise = s.noise_std * noise_rng.standard_normal(size=(s.T, m))
     A1 = _sensing_matrix(s, 1)
     tau_default = 0.01 * float(np.abs(A1.T @ (A1 @ frames[0] + noise[0])).max())
-    return VideoData(scenario=s, frames=frames, noise=noise,
+    data = VideoData(scenario=s, frames=frames, noise=noise,
                      clipped_steps=tuple(clipped), tau_default=tau_default)
+    if data._lookahead is not None:
+        data._lookahead.first = A1
+    return data

@@ -3,8 +3,20 @@ generator whose hidden interaction matrix drifts by transitive attraction.
 
 File format: one line per round, comma-separated entries in {-1, 0, 1}
 (0 marks an abstention or absence).  No header.
+
+The synthetic sampler resamples one agent at a time.  Each call of the
+Gibbs sweeps takes all its uniforms in one bulk draw, rng.random(sweeps * p),
+which is the same stream as one rng.random() per site and leaves the
+generator in the same state, so the missing-vote draws that follow are
+unchanged.  The per-site odds use the same BLAS row dots and the same
+float operations in the same order as a per-site numpy loop.  They take
+math.exp, which can differ from np.exp in the last bit, so a uniform
+within _EXP_MARGIN of the odds is decided again with np.exp.  The votes
+and hidden matrices are therefore bit-identical to that loop;
+tests/test_experiments.py keeps it as the reference.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,15 +86,38 @@ def save_votes(path, stream):
             fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
+# math.exp and np.exp may differ by an ulp, which moves a vote's odds by
+# about 2e-16; a uniform within this distance of the odds is decided again
+# with np.exp
+_EXP_MARGIN = 1e-12
+
+
 def _gibbs_sweeps(theta, x, sweeps, rng):
     # sequential single-site resampling; the conditional odds of +1 follow
-    # the same per-agent terms the vote fit objective scores
+    # the same per-agent terms the vote fit objective scores.  The row
+    # products stay BLAS dots of views of theta against x, which is kept
+    # current, so they round as theta[a] @ x does; xs mirrors x as floats.
     p = x.shape[0]
+    uniforms = iter(rng.random(sweeps * p).tolist())
+    sites = list(zip(range(p), [row.dot for row in theta],
+                     theta.diagonal().tolist()))
+    xs = x.tolist()
     for _ in range(sweeps):
-        for a in range(p):
-            h = theta[a, a] + theta[a] @ x - theta[a, a] * x[a]
-            prob = 1.0 / (1.0 + np.exp(-2.0 * h))
-            x[a] = 1.0 if rng.random() < prob else -1.0
+        for a, row_dot, d in sites:
+            h = d + float(row_dot(x)) - d * xs[a]
+            try:
+                prob = 1.0 / (1.0 + math.exp(-2.0 * h))
+            except OverflowError:  # exp is inf, as np.exp would return
+                prob = 0.0
+            u = next(uniforms)
+            if abs(u - prob) < _EXP_MARGIN:
+                # this close, the last bit of exp can decide the vote:
+                # take np.exp's, as the per-site loop did
+                with np.errstate(over="ignore"):
+                    prob = 1.0 / (1.0 + np.exp(-2.0 * h))
+            v = 1.0 if u < prob else -1.0
+            x[a] = v
+            xs[a] = v
     return x
 
 
@@ -96,6 +131,10 @@ def synthetic_votes(n_agents=20, T=2000, drift_alpha=0.003, seed=0,
     thetas) with thetas of shape (T, p, p): thetas[t - 1] generated the
     round-t votes.
     """
+    if n_agents < 1:
+        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
     if not (0.0 < init_scale <= 1.0):
         raise ValueError(f"init_scale must lie in (0, 1], got {init_scale}")
     if not (0.0 <= missing_prob < 1.0):

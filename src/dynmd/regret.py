@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import model_deviations
-from .losses import CompositeLoss, LeastSquaresLoss
 
 
 class ComparatorSequence:
@@ -46,17 +45,6 @@ def _comparator_points(comparator, T):
     return pts
 
 
-def regret(losses, predictions, comparator):
-    """sum_t ell_t(prediction_t) - sum_t ell_t(theta_t)."""
-    T = len(losses)
-    if len(predictions) != T:
-        raise ValueError(f"{len(predictions)} predictions for {T} losses")
-    pts = _comparator_points(comparator, T)
-    pred_sum = sum(losses[t].value(predictions[t]) for t in range(T))
-    comp_sum = sum(losses[t].value(pts[t]) for t in range(T))
-    return float(pred_sum - comp_sum)
-
-
 def cumulative_regret(losses, predictions, comparator):
     """Vector of prefix regrets R_1 .. R_T."""
     T = len(losses)
@@ -66,52 +54,6 @@ def cumulative_regret(losses, predictions, comparator):
     diffs = np.array([losses[t].value(predictions[t]) - losses[t].value(pts[t])
                       for t in range(T)])
     return np.cumsum(diffs)
-
-
-def least_squares_minimizer(losses):
-    """Batch minimizer of a sum of unregularized least-squares rounds.
-
-    Solves (sum A_t' A_t) theta = sum A_t' x_t; requires every round to be
-    a CompositeLoss over LeastSquaresLoss with tau = 0 (the normal
-    equations do not account for an l1 term or a constraint set).
-    """
-    if len(losses) == 0:
-        raise ValueError("losses must be non-empty")
-    n = None
-    gram = None
-    rhs = None
-    for loss in losses:
-        if not (isinstance(loss, CompositeLoss) and isinstance(loss.f, LeastSquaresLoss)):
-            raise ValueError("least_squares_minimizer needs least-squares rounds")
-        if loss.r.tau != 0.0:
-            raise ValueError("least_squares_minimizer requires tau = 0; pass candidates instead")
-        A, x = loss.f.A, loss.f.x
-        if gram is None:
-            n = A.shape[1]
-            gram = np.zeros((n, n))
-            rhs = np.zeros(n)
-        gram += A.T @ A
-        rhs += A.T @ x
-    theta, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    return theta
-
-
-def static_regret(losses, predictions, candidates=None):
-    """Regret against the best single point: a candidate set, or the batch
-    least-squares minimizer when no candidates are given."""
-    T = len(losses)
-    if len(predictions) != T:
-        raise ValueError(f"{len(predictions)} predictions for {T} losses")
-    if candidates is None:
-        best = least_squares_minimizer(losses)
-        candidates = [best]
-    else:
-        candidates = list(candidates)
-        if len(candidates) == 0:
-            raise ValueError("candidate set must be non-empty")
-    pred_sum = sum(losses[t].value(predictions[t]) for t in range(T))
-    comp_sum = min(sum(losses[t].value(c) for t in range(T)) for c in candidates)
-    return float(pred_sum - comp_sum)
 
 
 def variation(comparator):

@@ -74,6 +74,13 @@ def test_run_votes_rejects_bad_gibbs_sweeps(tmp_path, capsys):
     assert not (tmp_path / "vv").exists()
 
 
+def test_run_votes_rejects_empty_synthetic_stream(tmp_path, capsys):
+    assert main(["run-votes", "--agents", "0", "--t", "5",
+                 "--out", str(tmp_path / "vv")]) == 2
+    assert "n_agents" in capsys.readouterr().err
+    assert not (tmp_path / "vv").exists()
+
+
 def test_bad_boolean_flag_names_the_value(capsys):
     with pytest.raises(SystemExit) as exc:
         main(VIDEO_ARGS + ["--identity-sensing", "maybe"])

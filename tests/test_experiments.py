@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import sys
 import threading
 
@@ -35,6 +37,8 @@ from dynmd.experiments import (
     write_losses_csv,
     write_weights_csv,
 )
+from dynmd.experiments import video as video_module
+from dynmd.experiments import votes as votes_module
 from dynmd.experiments.video import _sensing_matrix
 
 
@@ -214,6 +218,24 @@ def test_replaced_video_data_draws_its_own_scenario():
                           _sensing_matrix(data.scenario, 2).view(np.uint64))
 
 
+def test_round_one_matrix_is_drawn_once(monkeypatch):
+    # set-up draws round 1's matrix for the default l1 weight; loss(1)
+    # reuses it, and the worker draws the later rounds ahead
+    drawn = []
+
+    def counting(scenario, t):
+        drawn.append(t)
+        return _sensing_matrix(scenario, t)
+
+    monkeypatch.setattr(video_module, "_sensing_matrix", counting)
+    data = generate_video(small_scenario(T=50, seed=4))
+    for t in range(1, data.T + 1):
+        A = data.loss(t).f.A
+        assert np.array_equal(A.view(np.uint64),
+                              _sensing_matrix(data.scenario, t).view(np.uint64))
+    assert drawn == [1]
+
+
 def test_video_scenario_validation():
     with pytest.raises(ValueError):
         small_scenario(start_col=7)  # block would overhang
@@ -303,6 +325,100 @@ def test_synthetic_votes_properties():
         synthetic_votes(n_agents=4, T=5, sweeps=0)
     with pytest.raises(ValueError, match="burn_in"):
         synthetic_votes(n_agents=4, T=5, burn_in=-1)
+    with pytest.raises(ValueError, match="n_agents"):
+        synthetic_votes(n_agents=0, T=5)
+    with pytest.raises(ValueError, match="T must"):
+        synthetic_votes(n_agents=4, T=0)
+
+
+def _gibbs_sweeps_reference(theta, x, sweeps, rng):
+    # reference: one rng.random() and numpy scalar arithmetic per site, as
+    # the sampler did before it took one bulk draw per call
+    p = x.shape[0]
+    for _ in range(sweeps):
+        for a in range(p):
+            h = theta[a, a] + theta[a] @ x - theta[a, a] * x[a]
+            prob = 1.0 / (1.0 + np.exp(-2.0 * h))
+            x[a] = 1.0 if rng.random() < prob else -1.0
+    return x
+
+
+def _sample_with(monkeypatch, sweep, **kw):
+    # synthetic_votes with the given sweep function; also returns the
+    # generator's final state, read through the sweeps' rng argument
+    rngs = []
+
+    def spy(theta, x, sweeps, rng):
+        rngs.append(rng)
+        return sweep(theta, x, sweeps, rng)
+
+    monkeypatch.setattr(votes_module, "_gibbs_sweeps", spy)
+    stream, thetas = synthetic_votes(**kw)
+    return stream.votes, thetas, rngs[-1].bit_generator.state
+
+
+def test_synthetic_votes_match_per_site_reference(monkeypatch):
+    # bit for bit: votes, hidden matrices and the generator's final state
+    fast = votes_module._gibbs_sweeps
+    grid = itertools.product((1, 2, 3, 20), (1, 2, 3, 4), (0, 50),
+                             (0.0, 0.2), (0.0, 0.003))
+    for seed, (p, sweeps, burn_in, missing, alpha) in enumerate(grid):
+        kw = dict(n_agents=p, T=25, drift_alpha=alpha, seed=seed,
+                  sweeps=sweeps, missing_prob=missing, burn_in=burn_in)
+        votes, thetas, state = _sample_with(monkeypatch, fast, **kw)
+        want_votes, want_thetas, want_state = _sample_with(
+            monkeypatch, _gibbs_sweeps_reference, **kw)
+        assert np.array_equal(votes, want_votes), kw
+        assert np.array_equal(thetas.view(np.uint64),
+                              want_thetas.view(np.uint64)), kw
+        assert state == want_state, kw
+
+
+class _GivenUniforms:
+    # stands in for a Generator: hands out the given uniforms, one per call
+    # or in bulk, as the two samplers ask for them
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+def test_gibbs_vote_in_the_exp_rounding_gap_matches_reference():
+    # where math.exp and np.exp round apart, a uniform between the two odds
+    # must get the vote the np.exp loop gives it
+    gaps = []
+    for h in np.random.default_rng(5).uniform(-8.0, 8.0, 2000).tolist():
+        fast = 1.0 / (1.0 + math.exp(-2.0 * h))
+        ref = float(1.0 / (1.0 + np.exp(np.float64(-2.0 * h))))
+        if fast != ref:
+            gaps.append((h, min(fast, ref)))
+    if not gaps:
+        pytest.skip("math.exp and np.exp round alike on this platform")
+    for h, u in gaps[:20]:
+        # one agent at +1 with coupling h: its field is exactly h
+        got = votes_module._gibbs_sweeps(np.array([[h]]), np.ones(1), 1,
+                                         _GivenUniforms([u]))
+        want = _gibbs_sweeps_reference(np.array([[h]]), np.ones(1), 1,
+                                       _GivenUniforms([u]))
+        assert np.array_equal(got, want), h
+
+
+def test_gibbs_sweeps_match_reference_where_exp_overflows():
+    # all-negative couplings with every agent at +1: -2h exceeds the exp
+    # range for the first sites, where np.exp gives inf and prob 0
+    p = 400
+    theta = -np.ones((p, p))
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = votes_module._gibbs_sweeps(theta, np.ones(p), 1, got_rng)
+    with np.errstate(over="ignore"):
+        want = _gibbs_sweeps_reference(theta, np.ones(p), 1, want_rng)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got[0] == -1.0  # h = -400 at the first site
 
 
 def test_run_scenario_single_expert_matches_plain_dmd():

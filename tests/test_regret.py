@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -17,16 +18,14 @@ from dynmd import (
     cumulative_regret,
     fixed_share_bound,
     least_squares,
-    least_squares_minimizer,
     moving_average,
-    regret,
-    static_regret,
     theorem2_bound,
     theorem2_curve,
     tracking_decomposition_from_losses,
     variation,
     variation_phi,
 )
+import dynmd.regret
 from dynmd.regret import _segmented_min
 
 
@@ -46,6 +45,12 @@ def brute_force_segmented(cost, models_per_step, max_switches):
     return best
 
 
+def test_regret_module_is_not_shadowed():
+    # the package re-exports no name that would hide the submodule
+    assert isinstance(dynmd.regret, types.ModuleType)
+    assert dynmd.regret.best_segmentation is best_segmentation
+
+
 def test_comparator_sequence_basics():
     pts = np.zeros((5, 3))
     comp = ComparatorSequence(pts, label="flat")
@@ -63,7 +68,7 @@ def test_regret_zero_against_own_predictions():
     losses = random_losses(rng, 6, 3, 2)
     preds = [rng.normal(size=2) for _ in range(6)]
     comp = ComparatorSequence(np.stack(preds + [preds[-1]]))
-    assert regret(losses, preds, comp) == 0.0
+    assert cumulative_regret(losses, preds, comp)[-1] == 0.0
 
 
 def test_regret_hand_example_and_loop_oracle():
@@ -73,14 +78,14 @@ def test_regret_hand_example_and_loop_oracle():
     pts = rng.normal(size=(6, 2))
     want = sum(l.value(p) for l, p in zip(losses, preds)) \
         - sum(losses[t].value(pts[t]) for t in range(5))
-    got = regret(losses, preds, ComparatorSequence(pts))
+    got = cumulative_regret(losses, preds, ComparatorSequence(pts))[-1]
     assert abs(got - want) < 1e-12
     # a length-T point array is accepted too
-    assert abs(regret(losses, preds, pts[:5]) - want) < 1e-12
+    assert abs(cumulative_regret(losses, preds, pts[:5])[-1] - want) < 1e-12
     with pytest.raises(ValueError):
-        regret(losses, preds, pts[:3])
+        cumulative_regret(losses, preds, pts[:3])
     with pytest.raises(ValueError):
-        regret(losses, preds[:-1], pts)
+        cumulative_regret(losses, preds[:-1], pts)
 
 
 def test_cumulative_regret_matches_prefix_sums():
@@ -91,43 +96,9 @@ def test_cumulative_regret_matches_prefix_sums():
     curve = cumulative_regret(losses, preds, pts)
     assert curve.shape == (8,)
     for t in range(1, 9):
-        want = regret(losses[:t], preds[:t], pts[:t + 1])
+        want = (sum(losses[s].value(preds[s]) for s in range(t))
+                - sum(losses[s].value(pts[s]) for s in range(t)))
         assert abs(curve[t - 1] - want) < 1e-10
-
-
-def test_least_squares_minimizer_matches_stacked_solve():
-    rng = np.random.default_rng(83)
-    losses = random_losses(rng, 4, 3, 2)
-    theta = least_squares_minimizer(losses)
-    A_all = np.vstack([l.f.A for l in losses])
-    x_all = np.concatenate([l.f.x for l in losses])
-    want, *_ = np.linalg.lstsq(A_all, x_all, rcond=None)
-    assert np.allclose(theta, want, atol=1e-10)
-    # first-order optimality of the batch objective
-    grad = sum(l.f_gradient(theta) for l in losses)
-    assert np.linalg.norm(grad) < 1e-9
-    with pytest.raises(ValueError):
-        least_squares_minimizer([])
-    with pytest.raises(ValueError):
-        least_squares_minimizer(random_losses(rng, 2, 3, 2, tau=0.1))
-
-
-def test_static_regret_candidates_and_batch_minimizer():
-    rng = np.random.default_rng(89)
-    losses = random_losses(rng, 6, 4, 2)
-    preds = [rng.normal(size=2) for _ in range(6)]
-    cands = [rng.normal(size=2) for _ in range(10)]
-    want = min(sum(l.value(c) for l in losses) for c in cands)
-    got = static_regret(losses, preds, candidates=cands)
-    total = sum(l.value(p) for l, p in zip(losses, preds))
-    assert abs(got - (total - want)) < 1e-12
-    # the batch minimizer dominates any candidate set
-    assert static_regret(losses, preds) >= got - 1e-12
-    with pytest.raises(ValueError):
-        static_regret(losses, preds, candidates=[])
-    with pytest.raises(ValueError):
-        static_regret(random_losses(rng, 3, 4, 2, tau=0.5),
-                      preds[:3])
 
 
 def test_variation_frozen_and_loop_oracle():
@@ -251,7 +222,7 @@ def test_tracking_decomposition_sums_to_regret():
                      for t in range(T)])
     comp_losses = np.array([losses[t].value(pts[t]) for t in range(T)])
     res = tracking_decomposition_from_losses(dfs_losses, cost, comp_losses, m=2)
-    total = regret(losses, dfs_preds, comp)
+    total = cumulative_regret(losses, dfs_preds, comp)[-1]
     assert res.t1 + res.t2 == pytest.approx(total, abs=1e-10)
     assert res.total == pytest.approx(total, abs=1e-10)
     # brute force the best <= 2-switch expert sequence
