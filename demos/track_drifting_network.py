@@ -54,8 +54,7 @@ for t in (100, 500, 1000, 2000):
 
 # self-field magnitudes from the pooled estimate hint at stubborn agents
 final = np.tensordot(result.final_state.weights,
-                     np.stack([e.theta_hat for e in
-                               result.final_state.experts]), axes=1)
+                     result.final_state.theta_hat, axes=1)
 diag = np.abs(np.diag(final))
 top = np.argsort(diag)[::-1][:5]
 print("\nlargest learned self-field magnitudes: "

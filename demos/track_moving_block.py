@@ -59,8 +59,7 @@ for t in (15, 30, 45, 60):
     print(f"t={t:3d}: heaviest experts  {row}")
 
 # crude look at the final pooled estimate against the true frame
-final = result.final_state.weights @ np.stack(
-    [e.theta_hat for e in result.final_state.experts])
+final = result.final_state.weights @ result.final_state.theta_hat
 truth = data.frames[T].reshape(ROWS, COLS)
 est = final.reshape(ROWS, COLS)
 r0 = max(0, int(np.argwhere(truth > 0.5)[:, 0].min()) - 2)

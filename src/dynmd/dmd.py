@@ -21,14 +21,15 @@ there raises ValueError.  The prox is applied only on steps with
 t % reg_period == 0 (reg_period = 1 means every step).  COMID is the
 special case Phi = identity with reg_period = 1.
 
-A pool of trackers on one loss stream steps together (`advance`): the N
-predictions and gradients are stacked into (N, *shape) arrays, the
-gradient step, soft threshold and projection run once on the stack, and
-the models are applied by one ModelStack call.  dmd_step is the N = 1 case
-of that step, and every row of a pool step is computed with the same
-elementwise arithmetic as a lone step.
+A pool of trackers on one loss stream steps together: advance(plan, ...)
+takes (N, *shape) stacks of predictions and gradients, runs the gradient
+step, soft threshold and projection once per StepPlan group, applies the
+models by one ModelStack call and returns the (theta_tilde, theta_hat)
+stacks.  dmd_step is the N = 1 case of that step, and every row of a pool
+step is computed with the same elementwise arithmetic as a lone step.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +40,8 @@ from .geometry import Ball
 
 @dataclass(frozen=True)
 class DmdState:
-    """Learner state; steps return new states, arrays are never mutated."""
+    """Learner state; steps return new states, arrays are never mutated.
+    A pool's expert views share memory with its stacks: never write them."""
 
     theta_hat: np.ndarray
     theta_tilde: np.ndarray
@@ -69,27 +71,35 @@ def comid_init(geom, fset, schedule, theta0=None):
     return dmd_init(geom, fset, IdentityModel(), schedule, reg_period=1, theta0=theta0)
 
 
+ExpertSpec = namedtuple("ExpertSpec", "geom fset model schedule reg_period")
+StepGroup = namedtuple("StepGroup", "geom fset schedule reg_period rows names")
+
+
 class StepPlan:
     """How a pool of DMD states takes its stacked step.
 
-    States that share geometry, feasible set, schedule and reg_period step
-    as one group; the models are applied by one ModelStack.  A step keeps
-    these parts of every state, so a plan built once serves every round.
+    specs[i] holds state i's parts other than its iterates and clock, in
+    DmdState field order.  The rows that share geometry, feasible set,
+    schedule and reg_period step as one group; the models are applied by
+    one ModelStack.  A plan built once serves every round.
     """
 
     def __init__(self, states):
         states = tuple(states)
+        self.specs = tuple(ExpertSpec(s.geom, s.fset, s.model, s.schedule,
+                                      s.reg_period) for s in states)
         self.names = tuple(f"expert {i} ({s.model.label})"
                            for i, s in enumerate(states))
         members = {}
-        for i, s in enumerate(states):
+        for i, s in enumerate(self.specs):
             key = (id(s.geom), id(s.fset), id(s.schedule), s.reg_period)
             members.setdefault(key, []).append(i)
         groups = []
         for idx in members.values():
+            s = self.specs[idx[0]]
             rows = slice(None) if len(members) == 1 else np.array(idx)
-            groups.append((states[idx[0]], rows,
-                           tuple(self.names[i] for i in idx)))
+            groups.append(StepGroup(s.geom, s.fset, s.schedule, s.reg_period,
+                                    rows, tuple(self.names[i] for i in idx)))
         self.groups = tuple(groups)
         self.models = ModelStack([s.model for s in states],
                                  states[0].theta_hat.shape)
@@ -104,47 +114,41 @@ def require_finite(stack, layer, t, names):
             f"non-finite {layer} at round t={t}, {names[int(np.argmin(ok))]}")
 
 
-def _step_size(state, loss, t):
-    """(eta_t, whether the round applies the l1 prox) for a state at round t."""
-    with_reg = t % state.reg_period == 0
-    return state.schedule.eta(t), with_reg and loss.r.tau > 0.0
+def _step_size(spec, loss, t):
+    """(eta_t, whether the round applies the l1 prox) for a state or group."""
+    with_reg = t % spec.reg_period == 0
+    return spec.schedule.eta(t), with_reg and loss.r.tau > 0.0
 
 
-def _theta_tildes(state, loss, thetas, grads, t, names):
-    """Mirror-step targets of the stacked predictions of states that share
-    state's geometry, feasible set, schedule and reg_period."""
-    eta, needs_reg = _step_size(state, loss, t)
-    kappa = eta / (2.0 * state.geom.scale)
+def _theta_tildes(group, loss, thetas, grads, t):
+    """Mirror-step targets of the stacked predictions of one group's rows."""
+    eta, needs_reg = _step_size(group, loss, t)
+    kappa = eta / (2.0 * group.geom.scale)
     v = thetas - kappa * grads
-    require_finite(v, "step", t, names)
+    require_finite(v, "step", t, group.names)
     if needs_reg:
         # exact on boxes and centred balls; see module docstring
-        if isinstance(state.fset, Ball) and np.any(state.fset.center):
+        if isinstance(group.fset, Ball) and np.any(group.fset.center):
             raise ValueError(
-                f"prox on an off-centre ball at round t={t}, {names[0]}: "
+                f"prox on an off-centre ball at round t={t}, {group.names[0]}: "
                 "project(soft_threshold(v)) is exact only for balls centred at 0")
         v = loss.prox_r(v, kappa)
-    return state.fset.project_stack(v)
+    return group.fset.project_stack(v)
 
 
-def advance(states, loss, thetas, grads, t, plan=None):
-    """Move every state one DMD step on the round-t loss; returns new states.
+def advance(plan, loss, thetas, grads, t):
+    """One DMD step of every row on the round-t loss.
 
-    thetas is the (N, *shape) stack of the states' predictions and grads
-    the stack of f-gradients there.  plan defaults to StepPlan(states).
-    Non-finite gradients or steps raise FloatingPointError naming the
-    round, expert and layer.
+    thetas is the (N, *shape) stack of predictions and grads the stack of
+    f-gradients there.  Returns the (theta_tilde, theta_hat) stacks of the
+    next round.  Non-finite gradients or steps raise FloatingPointError
+    naming the round, expert and layer.
     """
-    if plan is None:
-        plan = StepPlan(states)
     require_finite(grads, "gradient", t, plan.names)
     tildes = np.empty_like(thetas)
-    for state, rows, names in plan.groups:
-        tildes[rows] = _theta_tildes(state, loss, thetas[rows], grads[rows],
-                                     t, names)
-    nexts = plan.models.apply(tildes, t)
-    return tuple(replace(s, theta_hat=nexts[i], theta_tilde=tildes[i], t=t + 1)
-                 for i, s in enumerate(states))
+    for g in plan.groups:
+        tildes[g.rows] = _theta_tildes(g, loss, thetas[g.rows], grads[g.rows], t)
+    return tildes, plan.models.apply(tildes, t)
 
 
 def dmd_step(state, loss, t=None, diagnostics=False):
@@ -160,7 +164,8 @@ def dmd_step(state, loss, t=None, diagnostics=False):
         raise ValueError(f"step called with t={t} but state clock is {state.t}")
     theta_hat = state.theta_hat
     g = loss.f_gradient(theta_hat)
-    (new_state,) = advance((state,), loss, theta_hat[None], g[None], t)
+    tildes, nexts = advance(StepPlan((state,)), loss, theta_hat[None], g[None], t)
+    new_state = replace(state, theta_hat=nexts[0], theta_tilde=tildes[0], t=t + 1)
     diag = None
     if diagnostics:
         eta, needs_reg = _step_size(state, loss, t)

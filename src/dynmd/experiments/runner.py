@@ -101,7 +101,7 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None,
     agent_values = None
     for t in range(1, T + 1):
         loss = loss_at(t)
-        preds = np.stack([e.theta_hat for e in state.experts])
+        preds = state.theta_hat
         points = preds if pts is None else np.concatenate([preds, pts[t - 1][None]])
         values, grads = loss.values_and_grads(points)
         point_subgrad_norms = _row_norms(grads + loss.r.subgradient(points))
@@ -112,8 +112,8 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None,
             comp_losses[t - 1] = values[n]
             comp_subgrad[t - 1] = point_subgrad_norms[n]
             comp_norms[t - 1] = np.linalg.norm(np.ravel(comp))
-            for e, rows, _ in state.plan.groups:
-                comp_div[t - 1, rows] = e.geom.divergences(comp, preds[rows])
+            for g in state.plan.groups:
+                comp_div[t - 1, g.rows] = g.geom.divergences(comp, preds[g.rows])
         state, aggregated, losses_t = dfs_step(
             state, loss, evaluated=(values[:n], grads[:n]))
         weights[t - 1] = state.weights
@@ -164,17 +164,16 @@ def evaluate_run(result, models, m=0, window=30):
     expert_regret = np.cumsum(diffs, axis=0)
     dfs_regret = np.cumsum(result.dfs_losses - result.comparator_losses)
     deviations = model_deviations(result.comparator_points, models)
-    experts = result.final_state.experts
     constants = []
     curves = np.empty((T, n))
-    for i, e in enumerate(experts):
+    for i, spec in enumerate(result.final_state.plan.specs):
         consts = BoundConstants.from_samples(
-            e.geom,
+            spec.geom,
             (result.subgrad_norms[:, i].max(), result.comparator_subgrad_norms.max()),
             (result.pred_norms[:, i].max(), result.comparator_norms.max()),
             result.comparator_divergences[:, i])
         constants.append(consts)
-        curves[:, i] = theorem2_curve(consts, e.schedule, deviations[:, i])
+        curves[:, i] = theorem2_curve(consts, spec.schedule, deviations[:, i])
     decomposition = tracking_decomposition_from_losses(
         result.dfs_losses, result.expert_losses, result.comparator_losses, m)
     expert_loss_avg = np.column_stack(

@@ -21,7 +21,8 @@ operation as the synchronous draw, so every matrix is bit-identical to
 _sensing_matrix.  Round 1's matrix, drawn at set-up for the default l1
 weight, serves the first request for round 1.  Any other round with no
 pending draw (random access, a replay that restarts at round 1) is drawn
-synchronously, and identity sensing never starts the thread.
+synchronously.  Identity sensing starts no thread: one read-only identity
+per VideoData serves every round.
 """
 
 import math
@@ -180,13 +181,16 @@ class VideoData:
     noise: np.ndarray  # (T, measurements), the observation noise of each round
     clipped_steps: tuple  # rounds where a wall blocked the nominal move
     tau_default: float
-    # per instance, so dataclasses.replace never shares one scenario's draws
-    _lookahead: object = field(init=False, repr=False, compare=False)
+    # identity or lookahead, per instance: replace never shares their draws
+    _sensing: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lookahead = (None if self.scenario.identity_sensing
-                     else _SensingLookahead(self.scenario))
-        object.__setattr__(self, "_lookahead", lookahead)
+        if self.scenario.identity_sensing:
+            sensing = np.eye(self.n_pixels)
+            sensing.flags.writeable = False
+        else:
+            sensing = _SensingLookahead(self.scenario)
+        object.__setattr__(self, "_sensing", sensing)
 
     @property
     def T(self):
@@ -201,9 +205,9 @@ class VideoData:
         starts the draws of the next LOOKAHEAD rounds."""
         if not (1 <= t <= self.T):
             raise ValueError(f"t must lie in [1, {self.T}], got {t}")
-        if self._lookahead is None:
-            return _sensing_matrix(self.scenario, t)
-        return self._lookahead.matrix(t)
+        if self.scenario.identity_sensing:
+            return self._sensing
+        return self._sensing.matrix(t)
 
     def _observe(self, A, t):
         return A @ self.frames[t - 1] + self.noise[t - 1]
@@ -254,6 +258,6 @@ def generate_video(scenario):
     tau_default = 0.01 * float(np.abs(A1.T @ (A1 @ frames[0] + noise[0])).max())
     data = VideoData(scenario=s, frames=frames, noise=noise,
                      clipped_steps=tuple(clipped), tau_default=tau_default)
-    if data._lookahead is not None:
-        data._lookahead.first = A1
+    if not s.identity_sensing:
+        data._sensing.first = A1
     return data

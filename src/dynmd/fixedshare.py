@@ -13,19 +13,21 @@ underflow the weight vector.  After the share step every normalized weight
 is at least lam / N.  The aggregated prediction is invariant to positive
 rescaling of the weights.
 
-A round is one stacked computation.  The N predictions form an (N, *shape)
-array; one loss.values_and_grads call gives every expert's loss and
-gradient, and the same gradients drive one stacked mirror step (dmd.advance)
-in place of N separate ones.  A caller that has already evaluated the
-round's loss at the predictions passes the result in, so nothing is
-evaluated twice.  With one expert the round is bit-identical to dmd_step.
+The pool owns its iterates as (N, *shape) stacks theta_hat and theta_tilde;
+state.experts builds read-only DmdState views of their rows on demand.  A
+round is one stacked computation: one loss.values_and_grads call gives
+every expert's loss and gradient, and the same gradients drive one stacked
+mirror step (dmd.advance) that returns the next stacks.  A caller that has
+already evaluated the round's loss at the predictions passes the result in,
+so nothing is evaluated twice.  With one expert the round is bit-identical
+to dmd_step.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dmd import StepPlan, advance, require_finite
+from .dmd import DmdState, StepPlan, advance, require_finite
 from .geometry import StepSchedule
 
 
@@ -34,10 +36,18 @@ class FixedShareState:
     weights: np.ndarray
     eta_r: object  # float or StepSchedule
     lam: float
-    experts: tuple
+    theta_hat: np.ndarray  # (N, *shape) expert predictions
+    theta_tilde: np.ndarray  # (N, *shape) expert mirror-step targets
     t: int = 1
     # how the experts step together; fixed_share_init builds it once
     plan: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def experts(self):
+        """DmdState of every expert at round t; its arrays are rows of the
+        stacks and must not be written."""
+        return tuple(DmdState(hat, tilde, self.t, *spec) for hat, tilde, spec
+                     in zip(self.theta_hat, self.theta_tilde, self.plan.specs))
 
 
 def default_lambda(m, T):
@@ -57,14 +67,10 @@ def fixed_share_init(experts, lam, eta_r, weights=None):
         raise ValueError("at least one expert is required")
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    if isinstance(eta_r, StepSchedule):
-        pass
-    elif not (eta_r > 0):
+    if not isinstance(eta_r, StepSchedule) and not (eta_r > 0):
         raise ValueError(f"eta_r must be positive, got {eta_r}")
-    shape = experts[0].theta_hat.shape
-    for e in experts:
-        if e.theta_hat.shape != shape:
-            raise ValueError("experts must share one parameter shape")
+    if len({e.theta_hat.shape for e in experts}) > 1:
+        raise ValueError("experts must share one parameter shape")
     n = len(experts)
     if weights is None:
         weights = np.full(n, 1.0 / n)
@@ -75,13 +81,9 @@ def fixed_share_init(experts, lam, eta_r, weights=None):
         if np.any(weights < 0) or not np.isclose(weights.sum(), 1.0, atol=1e-9):
             raise ValueError("weights must be nonnegative and sum to 1")
     return FixedShareState(weights=weights, eta_r=eta_r, lam=float(lam),
-                           experts=experts, t=1, plan=StepPlan(experts))
-
-
-def _resolve_eta_r(eta_r, t):
-    if isinstance(eta_r, StepSchedule):
-        return eta_r.eta(t)
-    return float(eta_r)
+                           theta_hat=np.stack([e.theta_hat for e in experts]),
+                           theta_tilde=np.stack([e.theta_tilde for e in experts]),
+                           t=1, plan=StepPlan(experts))
 
 
 def dfs_step(state, loss, t=None, evaluated=None):
@@ -96,12 +98,13 @@ def dfs_step(state, loss, t=None, evaluated=None):
         t = state.t
     elif t != state.t:
         raise ValueError(f"step called with t={t} but state clock is {state.t}")
-    preds = np.stack([e.theta_hat for e in state.experts])
+    preds = state.theta_hat
     if evaluated is None:
         evaluated = loss.values_and_grads(preds)
     losses, grads = evaluated
     require_finite(losses, "loss value", t, state.plan.names)
-    eta_r = _resolve_eta_r(state.eta_r, t)
+    eta_r = (state.eta_r.eta(t) if isinstance(state.eta_r, StepSchedule)
+             else float(state.eta_r))
     with np.errstate(divide="ignore"):  # a zero weight is a valid -inf log weight
         logw = np.log(state.weights) - eta_r * losses
     wtilde = np.exp(logw - logw.max())
@@ -110,6 +113,6 @@ def dfs_step(state, loss, t=None, evaluated=None):
     w = (state.lam / n) * total + (1.0 - state.lam) * wtilde
     w = w / w.sum()
     aggregated = np.tensordot(w, preds, axes=1)
-    experts = advance(state.experts, loss, preds, grads, t, state.plan)
-    new_state = replace(state, weights=w, experts=experts, t=t + 1)
+    tilde, hat = advance(state.plan, loss, preds, grads, t)
+    new_state = replace(state, weights=w, theta_hat=hat, theta_tilde=tilde, t=t + 1)
     return new_state, aggregated, losses

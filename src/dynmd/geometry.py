@@ -29,14 +29,6 @@ class SquaredEuclidean:
         self.scale = float(scale)
         self.sigma = 2.0 * self.scale
 
-    def psi(self, theta):
-        theta = _as_array(theta)
-        return self.scale * float(np.vdot(theta, theta))
-
-    def grad_psi(self, theta):
-        theta = _as_array(theta)
-        return 2.0 * self.scale * theta
-
     def divergence(self, a, b):
         """Bregman divergence D(a || b) = psi(a) - psi(b) - <grad psi(b), a - b>.
 

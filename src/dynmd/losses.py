@@ -186,9 +186,6 @@ class CompositeLoss:
     def f_gradient(self, theta):
         return self.f.gradient(theta)
 
-    def r_value(self, theta):
-        return self.r.value(theta)
-
     def prox_r(self, v, kappa):
         return self.r.prox(v, kappa)
 

@@ -26,6 +26,7 @@ from dynmd import (
     lemma1_check,
     shift_family,
 )
+from dynmd.dmd import StepPlan, advance
 
 
 def make_stream(rng, T, m, n, tau=0.0, scale=1.0):
@@ -39,7 +40,7 @@ def make_stream(rng, T, m, n, tau=0.0, scale=1.0):
 
 def dmd_objective(geom, loss, g, theta_hat, eta, theta):
     return (eta * float(np.dot(g, theta))
-            + eta * loss.r_value(theta)
+            + eta * loss.r.value(theta)
             + geom.divergence(theta, theta_hat))
 
 
@@ -135,6 +136,32 @@ def test_comid_step_rejects_non_static_states():
     lazy = dmd_init(geom, fset, IdentityModel(), sched, reg_period=5)
     with pytest.raises(ValueError):
         comid_step(lazy, least_squares(np.eye(4), np.zeros(4)))
+
+
+def test_advance_returns_stacks_matching_lone_steps():
+    # two groups (schedule and reg_period differ): one advance on the stacks
+    # gives every row of a lone dmd_step, bit for bit
+    rng = np.random.default_rng(73)
+    geom = SquaredEuclidean(1.0)
+    fset = Box(0.0, 1.0, shape=9)
+    fast, slow = ConstantStep(0.4), DoublingStep(2, 2, 0.3)
+    specs = [(PixelShift(0, 3, 3), fast, 1), (IdentityModel(), slow, 2),
+             (PixelShift(4, 3, 3), fast, 1)]
+    states = [dmd_init(geom, fset, m, sched, reg_period=k,
+                       theta0=rng.uniform(size=9)) for m, sched, k in specs]
+    plan = StepPlan(states)
+    assert len(plan.groups) == 2
+    thetas = np.stack([s.theta_hat for s in states])
+    for t in (1, 2):  # round 1 skips the reg_period=2 group's prox, round 2 not
+        loss = least_squares(rng.normal(size=(5, 9)), rng.normal(size=5), tau=0.1)
+        grads = np.stack([loss.f_gradient(s.theta_hat) for s in states])
+        tilde, hat = advance(plan, loss, thetas, grads, t)
+        states = [dmd_step(s, loss)[0] for s in states]
+        assert type(tilde) is type(hat) is np.ndarray
+        assert tilde.shape == hat.shape == (3, 9)
+        assert np.array_equal(tilde, np.stack([s.theta_tilde for s in states]))
+        assert np.array_equal(hat, np.stack([s.theta_hat for s in states]))
+        thetas = hat
 
 
 def test_huge_tau_snaps_to_zero():

@@ -180,6 +180,21 @@ def test_identity_sensing_starts_no_thread():
     assert threading.active_count() == before
 
 
+def test_identity_sensing_serves_one_read_only_matrix():
+    data = generate_video(small_scenario(T=5, identity_sensing=True))
+    A = data.matrix(1)
+    assert not A.flags.writeable
+    assert np.array_equal(A.view(np.uint64), np.eye(data.n_pixels).view(np.uint64))
+    for t in range(1, data.T + 1):
+        assert data.matrix(t) is A
+        assert data.loss(t).f.A is A
+        assert np.array_equal(A.view(np.uint64),
+                              _sensing_matrix(data.scenario, t).view(np.uint64))
+    other = dataclasses.replace(data)
+    assert other.matrix(1) is not A
+    assert np.array_equal(other.matrix(2), A)
+
+
 def test_concurrent_callers_get_their_rounds_matrices():
     data = generate_video(small_scenario(T=8, seed=3))
     want = [_sensing_matrix(data.scenario, t) for t in range(1, data.T + 1)]

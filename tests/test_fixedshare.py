@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+import dataclasses
 
 import numpy as np
 import pytest
@@ -119,6 +119,33 @@ def test_experts_advance_like_standalone_steps():
     for adv, ref in zip(state.experts, solo):
         assert np.array_equal(adv.theta_hat, ref.theta_hat)
         assert adv.t == ref.t == 2
+
+
+def test_experts_are_read_only_views_of_the_stacks():
+    rng = np.random.default_rng(71)
+    geom = SquaredEuclidean(0.5)
+    fset = Box(-1.0, 1.0, shape=6)
+    fast, slow = ConstantStep(0.4), DoublingStep(2, 2, 0.3)
+    experts = [dmd_init(geom, fset, PixelShift(0, 2, 3), fast),
+               dmd_init(geom, fset, IdentityModel(), slow, reg_period=2),
+               dmd_init(geom, fset, PixelShift(4, 2, 3), fast)]
+    state = fixed_share_init(experts, lam=0.1, eta_r=1.0)
+    assert "experts" not in {f.name for f in dataclasses.fields(state)}
+    for _ in range(2):
+        loss = least_squares(rng.normal(size=(4, 6)), rng.normal(size=4), tau=0.1)
+        state, _, _ = dfs_step(state, loss)
+    views = state.experts
+    assert len(views) == 3
+    for i, (view, spec, orig) in enumerate(zip(views, state.plan.specs, experts)):
+        for part in ("geom", "fset", "model", "schedule"):
+            assert getattr(view, part) is getattr(spec, part) is getattr(orig, part)
+        assert view.reg_period == spec.reg_period == orig.reg_period
+        assert view.t == state.t == 3
+        assert np.array_equal(view.theta_hat, state.theta_hat[i])
+        assert np.array_equal(view.theta_tilde, state.theta_tilde[i])
+        assert np.shares_memory(view.theta_hat, state.theta_hat)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.experts = views
 
 
 def test_single_expert_reduces_to_plain_dmd():
@@ -260,21 +287,21 @@ def test_nonfinite_errors_name_round_expert_and_layer():
         dfs_step(wide, loss, evaluated=(np.zeros(2), huge))
 
 
-def reference_round(state, loss):
-    """One pool round expert by expert: loss.value and dmd_step per expert,
-    with the log-space share update."""
-    t = state.t
-    preds = [e.theta_hat for e in state.experts]
+def reference_round(experts, weights, loss, eta_r, lam):
+    """One pool round expert by expert on the reference's own DMD states and
+    weights: loss.value and dmd_step per expert, with the log-space share
+    update.  Returns (experts, weights, aggregate, losses)."""
+    preds = [e.theta_hat for e in experts]
     losses = np.array([loss.value(p) for p in preds])
     with np.errstate(divide="ignore"):
-        logw = np.log(state.weights) - state.eta_r * losses
+        logw = np.log(weights) - eta_r * losses
     wtilde = np.exp(logw - logw.max())
     n = len(preds)
-    w = (state.lam / n) * wtilde.sum() + (1.0 - state.lam) * wtilde
+    w = (lam / n) * wtilde.sum() + (1.0 - lam) * wtilde
     w = w / w.sum()
     aggregated = np.tensordot(w, np.stack(preds), axes=1)
-    experts = tuple(dmd_step(e, loss, t)[0] for e in state.experts)
-    return replace(state, weights=w, experts=experts, t=t + 1), aggregated, losses
+    experts = tuple(dmd_step(e, loss)[0] for e in experts)
+    return experts, w, aggregated, losses
 
 
 @st.composite
@@ -331,30 +358,31 @@ def build_pool(spec):
         experts.append(dmd_init(geom, fset, model, sched,
                                 reg_period=spec["reg_period"], theta0=theta0))
     state = fixed_share_init(experts, lam=spec["lam"], eta_r=spec["eta_r"])
-    return state, [make_loss() for _ in range(spec["rounds"])]
+    return tuple(experts), state, [make_loss() for _ in range(spec["rounds"])]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(pools())
 def test_stacked_round_matches_per_expert_loop(spec):
-    state, losses = build_pool(spec)
-    ref = state
+    ref, state, losses = build_pool(spec)
+    w_ref = state.weights
     for loss in losses:
         state, agg, expert_losses = dfs_step(state, loss)
-        ref, agg_ref, losses_ref = reference_round(ref, loss)
+        ref, w_ref, agg_ref, losses_ref = reference_round(
+            ref, w_ref, loss, state.eta_r, state.lam)
         if spec["n"] == 1:
             # one expert: the stacked round is the lone tracker, bit for bit
-            assert state.weights[0] == 1.0 == ref.weights[0]
+            assert state.weights[0] == 1.0 == w_ref[0]
             assert np.array_equal(agg, agg_ref)
             assert np.array_equal(expert_losses, losses_ref)
-            pairs = [(e.theta_hat, r.theta_hat) for e, r in zip(state.experts, ref.experts)]
-            pairs += [(e.theta_tilde, r.theta_tilde) for e, r in zip(state.experts, ref.experts)]
+            pairs = [(e.theta_hat, r.theta_hat) for e, r in zip(state.experts, ref)]
+            pairs += [(e.theta_tilde, r.theta_tilde) for e, r in zip(state.experts, ref)]
             assert all(np.array_equal(a, b) for a, b in pairs)
             continue
         assert np.allclose(expert_losses, losses_ref, rtol=1e-12, atol=0.0)
-        assert np.allclose(state.weights, ref.weights, rtol=1e-12, atol=0.0)
+        assert np.allclose(state.weights, w_ref, rtol=1e-12, atol=0.0)
         assert rel_err(agg, agg_ref) <= 1e-12
-        for e, r in zip(state.experts, ref.experts):
+        for e, r in zip(state.experts, ref):
             assert e.t == r.t
             assert rel_err(e.theta_hat, r.theta_hat) <= 1e-12
             assert rel_err(e.theta_tilde, r.theta_tilde) <= 1e-12

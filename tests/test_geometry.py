@@ -56,7 +56,7 @@ def test_divergence_three_point_identity():
             t1, t2, t3 = rng.normal(size=(3, 4))
             lhs = geom.divergence(t1, t2)
             rhs = (geom.divergence(t3, t2) + geom.divergence(t1, t3)
-                   + float(np.dot(geom.grad_psi(t2) - geom.grad_psi(t3), t3 - t1)))
+                   + float(np.dot(2 * scale * t2 - 2 * scale * t3, t3 - t1)))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -253,7 +253,7 @@ def test_bound_constants_match_exhaustive_oracle():
     pts = list(fset.sample(rng, 40))
     consts = estimate_bound_constants(geom, fset, losses, pts)
     g = max(np.linalg.norm(l.subgradient(p)) for l in losses for p in pts)
-    m = max(0.5 * np.linalg.norm(geom.grad_psi(p)) for p in pts)
+    m = max(0.5 * np.linalg.norm(2 * geom.scale * p) for p in pts)
     d = max(geom.divergence(a, b) for a in pts for b in pts)
     assert consts.g_ell == pytest.approx(g, rel=1e-12)
     assert consts.big_m == pytest.approx(m, rel=1e-12)

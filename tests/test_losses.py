@@ -279,7 +279,7 @@ def test_composite_value_is_sum_of_parts():
     x = rng.normal(size=4)
     loss = least_squares(A, x, tau=0.5)
     theta = rng.normal(size=3)
-    assert loss.value(theta) == loss.f_value(theta) + loss.r_value(theta)
+    assert loss.value(theta) == loss.f_value(theta) + loss.r.value(theta)
     assert np.allclose(loss.subgradient(theta),
                        loss.f_gradient(theta) + 0.5 * np.sign(theta), atol=1e-15)
 
