@@ -10,7 +10,6 @@ of the same name (flags win).  Outputs are plain CSV plus a meta.txt.
 """
 
 import argparse
-import math
 import os
 import sys
 
@@ -96,7 +95,7 @@ def _make_schedule(opts):
 
 def _resolve_pool_params(opts, T):
     lam = opts["lam"] if opts["lam"] >= 0 else default_lambda(opts["m"], T)
-    eta_r = opts["eta_r"] if opts["eta_r"] > 0 else 1.0 / math.sqrt(T)
+    eta_r = opts["eta_r"] if opts["eta_r"] > 0 else None
     return lam, eta_r
 
 
@@ -144,8 +143,7 @@ def cmd_run_video(args):
     lam, eta_r = _resolve_pool_params(opts, data.T)
     result = run_scenario(lambda t: data.loss(t, tau=tau), data.T, experts,
                           lam=lam, eta_r=eta_r, comparator=data.comparator())
-    evaluation = evaluate_run(result, models, m=opts["m"],
-                              window=opts["window"])
+    evaluation = evaluate_run(result, m=opts["m"], window=opts["window"])
     _write_outputs(opts["out"], result, evaluation, {
         "tau": f"{data.tau_default if tau is None else tau:.6g}",
         "clipped_steps": len(data.clipped_steps),
@@ -185,8 +183,7 @@ def cmd_run_votes(args):
                           comparator=comparator, collect_agent_values=True)
     evaluation = None
     if comparator is not None:
-        evaluation = evaluate_run(result, models, m=opts["m"],
-                                  window=opts["window"])
+        evaluation = evaluate_run(result, m=opts["m"], window=opts["window"])
     _write_outputs(opts["out"], result, evaluation, {
         "stream": stream.label, "alphas": opts["alphas"],
     })

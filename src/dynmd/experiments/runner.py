@@ -21,6 +21,7 @@ from ..fixedshare import dfs_step, fixed_share_init
 from ..geometry import BoundConstants
 from ..regret import (
     moving_average,
+    path_points,
     theorem2_curve,
     tracking_decomposition_from_losses,
 )
@@ -83,8 +84,7 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None,
     state = fixed_share_init(experts, lam=lam, eta_r=eta_r)
     pts = None
     if comparator is not None:
-        pts = comparator.points if hasattr(comparator, "points") \
-            else np.asarray(comparator, dtype=float)
+        pts = path_points(comparator)
         if pts.shape[0] != T + 1:
             raise ValueError(
                 f"comparator must hold {T + 1} points, got {pts.shape[0]}")
@@ -125,7 +125,7 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None,
                 agent_values = np.empty((T, per_agent.shape[0]))
             agent_values[t - 1] = per_agent
     full_meta = {"T": T, "n_experts": n, "lam": lam,
-                 "eta_r": eta_r if np.isscalar(eta_r) else repr(eta_r),
+                 "eta_r": eta_r,
                  "labels": ",".join(labels)}
     full_meta.update(meta or {})
     return ScenarioResult(
@@ -151,22 +151,22 @@ class RunEvaluation:
     expert_loss_avg: np.ndarray  # (T, N)
 
 
-def evaluate_run(result, models, m=0, window=30):
+def evaluate_run(result, m=0, window=30):
     """Regret curves, run-sampled bound curves, and the m-switch tracking
-    decomposition for a run recorded against a comparator."""
+    decomposition for a run recorded against a comparator.  Each expert's
+    model, geometry and schedule come from the run's plan."""
     if result.comparator_losses is None:
         raise ValueError("the run was recorded without a comparator")
-    models = list(models)
-    if len(models) != result.n_experts:
-        raise ValueError(f"{len(models)} models for {result.n_experts} experts")
     T, n = result.expert_losses.shape
     diffs = result.expert_losses - result.comparator_losses[:, None]
     expert_regret = np.cumsum(diffs, axis=0)
     dfs_regret = np.cumsum(result.dfs_losses - result.comparator_losses)
-    deviations = model_deviations(result.comparator_points, models)
+    specs = result.final_state.plan.specs
+    deviations = model_deviations(result.comparator_points,
+                                  [spec.model for spec in specs])
     constants = []
     curves = np.empty((T, n))
-    for i, spec in enumerate(result.final_state.plan.specs):
+    for i, spec in enumerate(specs):
         consts = BoundConstants.from_samples(
             spec.geom,
             (result.subgrad_norms[:, i].max(), result.comparator_subgrad_norms.max()),

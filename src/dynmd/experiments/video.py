@@ -12,17 +12,17 @@ extra final frame closes the path for variation measures.
 
 A matrix depends only on the seed and the round, never on the learner's
 play, so it is drawn ahead of time.  When round t's matrix is asked for,
-one worker thread draws the raw normals of rounds t+1 .. t+LOOKAHEAD into
-a ring of LOOKAHEAD preallocated (measurements x pixels) float64 buffers
-(1.6 MB at the defaults) while the caller runs its round; numpy's
-generator releases the interpreter lock while it fills them.  The caller
-scales a finished buffer by 1/sqrt(measurements) itself, the same
-operation as the synchronous draw, so every matrix is bit-identical to
-_sensing_matrix.  Round 1's matrix, drawn at set-up for the default l1
-weight, serves the first request for round 1.  Any other round with no
-pending draw (random access, a replay that restarts at round 1) is drawn
-synchronously.  Identity sensing starts no thread: one read-only identity
-per VideoData serves every round.
+one worker thread draws the raw normals of rounds t+1 .. t+LOOKAHEAD while
+the caller runs its round; numpy's generator releases the interpreter lock
+while it draws.  Every draw returns an array of its own, held as a future
+in a window keyed by round, so no later draw can write into a matrix
+already handed out.  The caller scales its round's array by
+1/sqrt(measurements) in place, the same ufunc as the synchronous draw's
+division, so every matrix is bit-identical to _sensing_matrix.  Round 1's
+matrix, drawn at set-up for the default l1 weight, enters the window as a
+finished draw.  Any other round with no pending draw (random access, a
+replay that restarts at round 1) is drawn synchronously.  Identity sensing
+starts no thread: one read-only identity per VideoData serves every round.
 """
 
 import math
@@ -101,66 +101,61 @@ def _sensing_rng(scenario, t):
         np.random.SeedSequence(scenario.seed, spawn_key=(0, t)))
 
 
+def _draw_raw(scenario, t):
+    # runs on the worker thread too, so it calls numpy only: dynmd's
+    # functions may be wrapped by instrumentation that assumes one thread
+    return _sensing_rng(scenario, t).standard_normal(
+        size=(scenario.measurements, scenario.rows * scenario.cols))
+
+
 def _sensing_matrix(scenario, t):
     """Round t's sensing matrix, drawn synchronously: the reference the
     lookahead must reproduce bit for bit."""
     if scenario.identity_sensing:
         return np.eye(scenario.rows * scenario.cols)
-    m = scenario.measurements
-    return (_sensing_rng(scenario, t).standard_normal(
-        size=(m, scenario.rows * scenario.cols)) / math.sqrt(m))
-
-
-def _draw_raw(scenario, t, out):
-    # runs on the worker thread, so it calls numpy only: dynmd's functions
-    # may be wrapped by instrumentation that assumes a single thread
-    _sensing_rng(scenario, t).standard_normal(out=out)
+    return _draw_raw(scenario, t) / math.sqrt(scenario.measurements)
 
 
 class _SensingLookahead:
-    """Draws the raw normals of the next LOOKAHEAD rounds on one worker
-    thread.  Round r's draw fills buffer r % LOOKAHEAD; pending rounds
-    always lie in (t, t + LOOKAHEAD] of the last round t asked for, so
-    their slots never collide.  The lock serialises callers; the worker
-    touches only its buffer.  The thread exits once the executor is
-    garbage-collected with its VideoData, or at interpreter exit."""
+    """Holds {round: future of its raw draw} for the rounds (t, t + LOOKAHEAD]
+    after the last round t asked for, drawn on one worker thread.  The lock
+    serialises callers; each draw owns its array, so a draw that falls out
+    of the window is cancelled without waiting for it.  The thread exits
+    once the executor is garbage-collected with its VideoData, or at
+    interpreter exit."""
 
     def __init__(self, scenario):
         self.scenario = scenario
-        # round 1's matrix when set-up already drew it; handed out once
-        self.first = None
         self._lock = threading.Lock()
-        self._pending = {}  # round -> future of the draw filling its buffer
-        self._buffers = None  # allocated with the executor, on first use
+        self._window = {}
         self._executor = None
+
+    def hold(self, t, raw):
+        """Serve raw, round t's normals drawn at set-up, as a finished draw;
+        called before the VideoData reaches any caller."""
+        from concurrent.futures import Future
+        self._window[t] = future = Future()
+        future.set_result(raw)
 
     def matrix(self, t):
         s = self.scenario
         with self._lock:
-            future = self._pending.pop(t, None)
-            if t == 1 and self.first is not None:
-                A, self.first = self.first, None
-            elif future is None:
-                A = _sensing_matrix(s, t)
-            else:
-                future.result()
-                A = self._buffers[t % LOOKAHEAD] / math.sqrt(s.measurements)
+            future = self._window.pop(t, None)
             ahead = range(t + 1, min(t + LOOKAHEAD, s.T) + 1)
-            for r in [r for r in self._pending if r not in ahead]:
-                self._pending.pop(r).result()  # its buffer is about to be reused
             if self._executor is None and ahead:
                 # imported here: it pulls in logging, which runs that never
                 # draw a Gaussian matrix need not load
                 from concurrent.futures import ThreadPoolExecutor
-                shape = (s.measurements, s.rows * s.cols)
-                self._buffers = [np.empty(shape) for _ in range(LOOKAHEAD)]
                 self._executor = ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="dynmd-sensing")
-            for r in ahead:
-                if r not in self._pending:
-                    self._pending[r] = self._executor.submit(
-                        _draw_raw, s, r, self._buffers[r % LOOKAHEAD])
-            return A
+            window = {r: self._window.pop(r) if r in self._window
+                      else self._executor.submit(_draw_raw, s, r) for r in ahead}
+            for stale in self._window.values():
+                stale.cancel()
+            self._window = window
+        raw = _draw_raw(s, t) if future is None else future.result()
+        raw /= math.sqrt(s.measurements)
+        return raw
 
 
 def _render(rows, cols, block, r, c, wrap):
@@ -231,7 +226,7 @@ def generate_video(scenario):
     """Simulate the scenario; returns a VideoData with frames, observation
     noise, and the rounds where clipping bent the path away from its own
     motion.  Of the sensing matrices only round 1's is drawn here, for the
-    default l1 weight; the first loss(1) or matrix(1) reuses that draw."""
+    default l1 weight; a first request for round 1 reuses that draw."""
     s = scenario
     wrap = s.boundary == "wrap"
     r, c = s.start_row, s.start_col
@@ -254,10 +249,11 @@ def generate_video(scenario):
         np.random.SeedSequence(s.seed, spawn_key=(1,)))
     m = frames.shape[1] if s.identity_sensing else s.measurements
     noise = s.noise_std * noise_rng.standard_normal(size=(s.T, m))
-    A1 = _sensing_matrix(s, 1)
+    raw1 = None if s.identity_sensing else _draw_raw(s, 1)
+    A1 = np.eye(m) if raw1 is None else raw1 / math.sqrt(m)
     tau_default = 0.01 * float(np.abs(A1.T @ (A1 @ frames[0] + noise[0])).max())
     data = VideoData(scenario=s, frames=frames, noise=noise,
                      clipped_steps=tuple(clipped), tau_default=tau_default)
-    if not s.identity_sensing:
-        data._sensing.first = A1
+    if raw1 is not None:
+        data._sensing.hold(1, raw1)
     return data

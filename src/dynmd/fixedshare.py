@@ -28,13 +28,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dmd import DmdState, StepPlan, advance, require_finite
-from .geometry import StepSchedule
 
 
 @dataclass(frozen=True)
 class FixedShareState:
     weights: np.ndarray
-    eta_r: object  # float or StepSchedule
+    eta_r: float
     lam: float
     theta_hat: np.ndarray  # (N, *shape) expert predictions
     theta_tilde: np.ndarray  # (N, *shape) expert mirror-step targets
@@ -67,7 +66,7 @@ def fixed_share_init(experts, lam, eta_r, weights=None):
         raise ValueError("at least one expert is required")
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    if not isinstance(eta_r, StepSchedule) and not (eta_r > 0):
+    if not (eta_r > 0):
         raise ValueError(f"eta_r must be positive, got {eta_r}")
     if len({e.theta_hat.shape for e in experts}) > 1:
         raise ValueError("experts must share one parameter shape")
@@ -80,7 +79,7 @@ def fixed_share_init(experts, lam, eta_r, weights=None):
             raise ValueError(f"weights must have shape ({n},)")
         if np.any(weights < 0) or not np.isclose(weights.sum(), 1.0, atol=1e-9):
             raise ValueError("weights must be nonnegative and sum to 1")
-    return FixedShareState(weights=weights, eta_r=eta_r, lam=float(lam),
+    return FixedShareState(weights=weights, eta_r=float(eta_r), lam=float(lam),
                            theta_hat=np.stack([e.theta_hat for e in experts]),
                            theta_tilde=np.stack([e.theta_tilde for e in experts]),
                            t=1, plan=StepPlan(experts))
@@ -103,10 +102,8 @@ def dfs_step(state, loss, t=None, evaluated=None):
         evaluated = loss.values_and_grads(preds)
     losses, grads = evaluated
     require_finite(losses, "loss value", t, state.plan.names)
-    eta_r = (state.eta_r.eta(t) if isinstance(state.eta_r, StepSchedule)
-             else float(state.eta_r))
     with np.errstate(divide="ignore"):  # a zero weight is a valid -inf log weight
-        logw = np.log(state.weights) - eta_r * losses
+        logw = np.log(state.weights) - state.eta_r * losses
     wtilde = np.exp(logw - logw.max())
     total = wtilde.sum()
     n = wtilde.size

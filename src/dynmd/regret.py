@@ -38,11 +38,11 @@ class ComparatorSequence:
         return f"ComparatorSequence(label={self.label!r}, len={len(self)})"
 
 
-def _comparator_points(comparator, T):
-    pts = comparator.points if isinstance(comparator, ComparatorSequence) else np.asarray(comparator, dtype=float)
-    if pts.shape[0] not in (T, T + 1):
-        raise ValueError(f"comparator has {pts.shape[0]} points, expected {T} or {T + 1}")
-    return pts
+def path_points(comparator):
+    """The (L, *shape) points of a ComparatorSequence or of a stacked path."""
+    if isinstance(comparator, ComparatorSequence):
+        return comparator.points
+    return np.asarray(comparator, dtype=float)
 
 
 def cumulative_regret(losses, predictions, comparator):
@@ -50,7 +50,9 @@ def cumulative_regret(losses, predictions, comparator):
     T = len(losses)
     if len(predictions) != T:
         raise ValueError(f"{len(predictions)} predictions for {T} losses")
-    pts = _comparator_points(comparator, T)
+    pts = path_points(comparator)
+    if pts.shape[0] not in (T, T + 1):
+        raise ValueError(f"comparator has {pts.shape[0]} points, expected {T} or {T + 1}")
     diffs = np.array([losses[t].value(predictions[t]) - losses[t].value(pts[t])
                       for t in range(T)])
     return np.cumsum(diffs)
@@ -58,15 +60,14 @@ def cumulative_regret(losses, predictions, comparator):
 
 def variation(comparator):
     """sum_t ||theta_{t+1} - theta_t|| over the sequence."""
-    pts = comparator.points if isinstance(comparator, ComparatorSequence) else np.asarray(comparator, dtype=float)
+    pts = path_points(comparator)
     diffs = pts[1:] - pts[:-1]
     return float(np.sqrt((diffs.reshape(diffs.shape[0], -1) ** 2).sum(axis=1)).sum())
 
 
 def variation_phi(comparator, model):
     """sum_t ||theta_{t+1} - Phi(theta_t)||: deviation from the model's flow."""
-    pts = comparator.points if isinstance(comparator, ComparatorSequence) else np.asarray(comparator, dtype=float)
-    return float(model_deviations(pts, [model]).sum())
+    return float(model_deviations(path_points(comparator), [model]).sum())
 
 
 def _segmented_min(cost, n_segments):
@@ -145,7 +146,7 @@ def best_segmentation(comparator, models, m):
     after one model_deviations pass.  On ties it reports the lowest-index
     final model, and each segment starts as early as the later ones allow.
     """
-    pts = comparator.points if isinstance(comparator, ComparatorSequence) else np.asarray(comparator, dtype=float)
+    pts = path_points(comparator)
     T = pts.shape[0] - 1
     if int(m) != m or m < 0:
         raise ValueError(f"m must be an integer >= 0, got {m}")

@@ -234,21 +234,33 @@ def test_replaced_video_data_draws_its_own_scenario():
 
 
 def test_round_one_matrix_is_drawn_once(monkeypatch):
-    # set-up draws round 1's matrix for the default l1 weight; loss(1)
-    # reuses it, and the worker draws the later rounds ahead
+    # set-up draws round 1's matrix for the default l1 weight and loss(1)
+    # reuses it; the worker draws every later round once, ahead of its call
+    scenario = small_scenario(T=50, seed=4)
+    want = [_sensing_matrix(scenario, t) for t in range(1, scenario.T + 1)]
+    draw = video_module._draw_raw
     drawn = []
 
     def counting(scenario, t):
-        drawn.append(t)
-        return _sensing_matrix(scenario, t)
+        drawn.append(t)  # list.append is atomic, so either thread may call
+        return draw(scenario, t)
 
-    monkeypatch.setattr(video_module, "_sensing_matrix", counting)
-    data = generate_video(small_scenario(T=50, seed=4))
+    monkeypatch.setattr(video_module, "_draw_raw", counting)
+    data = generate_video(scenario)
     for t in range(1, data.T + 1):
         A = data.loss(t).f.A
+        assert np.array_equal(A.view(np.uint64), want[t - 1].view(np.uint64))
+    assert sorted(drawn) == list(range(1, data.T + 1))
+
+
+def test_matrices_handed_out_are_never_overwritten():
+    # each draw owns its array: keeping every matrix of a forward loop, none
+    # is changed by the draws that follow it
+    data = generate_video(small_scenario(T=12, seed=5))
+    kept = [data.matrix(t) for t in range(1, data.T + 1)]
+    for t, A in enumerate(kept, start=1):
         assert np.array_equal(A.view(np.uint64),
                               _sensing_matrix(data.scenario, t).view(np.uint64))
-    assert drawn == [1]
 
 
 def test_video_scenario_validation():
@@ -491,19 +503,17 @@ def test_evaluate_run_matching_model_bound_holds():
     experts = [dmd_init(geom, fset, m, sched) for m in models]
     result = run_scenario(data.loss, data.T, experts, lam=0.05,
                           comparator=data.comparator())
-    ev = evaluate_run(result, models, m=1)
+    ev = evaluate_run(result, m=1)
     assert np.all(ev.deviations[:, 0] == 0.0)  # east model matches the truth
     assert ev.v_phi[0] == 0.0
     assert np.all(ev.v_phi[1:] > 0.0)
     assert np.all(ev.expert_regret[:, 0] <= ev.bound_curves[:, 0] + 1e-9)
     total = ev.decomposition.t1 + ev.decomposition.t2
     assert total == pytest.approx(ev.dfs_regret[-1], abs=1e-9)
-    with pytest.raises(ValueError):
-        evaluate_run(result, models[:3], m=1)
     bare = run_scenario(data.loss, data.T,
                         [dmd_init(geom, fset, models[0], sched)], lam=0.05)
     with pytest.raises(ValueError):
-        evaluate_run(bare, models[:1], m=1)
+        evaluate_run(bare, m=1)
 
 
 def test_csv_writers_roundtrip(tmp_path):

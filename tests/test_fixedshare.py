@@ -94,21 +94,6 @@ def test_matches_linear_space_oracle():
         assert np.allclose(agg, agg_ref, atol=1e-12)
 
 
-def test_schedule_valued_mixing_rate():
-    # the doubling schedule's per-round value drives the weight update
-    rng = np.random.default_rng(47)
-    experts = make_experts(2, [[0.5, 0.5], [-0.5, 0.2]])
-    sched = DoublingStep(1, 2, 1.0)
-    state = fixed_share_init(experts, lam=0.1, eta_r=sched)
-    w = state.weights.copy()
-    for t in range(1, 8):
-        loss = least_squares(rng.normal(size=(2, 2)), rng.normal(size=2))
-        losses_ref = np.array([loss.value(e.theta_hat) for e in state.experts])
-        w = linear_share(w, losses_ref, sched.eta(t), 0.1)
-        state, _, _ = dfs_step(state, loss)
-        assert np.allclose(state.weights, w, atol=1e-12)
-
-
 def test_experts_advance_like_standalone_steps():
     rng = np.random.default_rng(53)
     experts = make_experts(3, [[0.0, 0.0], [1.0, 1.0], [-1.0, 0.5]])
