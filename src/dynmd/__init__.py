@@ -16,7 +16,6 @@ from .geometry import (
     SquaredEuclidean,
     StepSchedule,
     Unconstrained,
-    estimate_bound_constants,
 )
 from .losses import (
     CompositeLoss,
@@ -50,11 +49,8 @@ from .regret import (
     cumulative_regret,
     fixed_share_bound,
     moving_average,
-    theorem2_bound,
     theorem2_curve,
     tracking_decomposition_from_losses,
-    variation,
-    variation_phi,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Ball", "BoundConstants", "Box", "ConstantStep", "DoublingStep",
     "FeasibleSet", "SquaredEuclidean", "StepSchedule", "Unconstrained",
-    "estimate_bound_constants",
     "CompositeLoss", "IsingPseudolikelihoodLoss", "L1Regularizer",
     "LeastSquaresLoss", "least_squares", "vote_pseudolikelihood",
     "ContractionAudit", "DynamicalModel", "IdentityModel",
@@ -72,6 +67,5 @@ __all__ = [
     "FixedShareState", "default_lambda", "dfs_step", "fixed_share_init",
     "ComparatorSequence", "SegmentationResult", "TrackingDecomposition",
     "best_segmentation", "cumulative_regret", "fixed_share_bound",
-    "moving_average", "theorem2_bound", "theorem2_curve",
-    "tracking_decomposition_from_losses", "variation", "variation_phi",
+    "moving_average", "theorem2_curve", "tracking_decomposition_from_losses",
 ]

@@ -114,19 +114,12 @@ def require_finite(stack, layer, t, names):
             f"non-finite {layer} at round t={t}, {names[int(np.argmin(ok))]}")
 
 
-def _step_size(spec, loss, t):
-    """(eta_t, whether the round applies the l1 prox) for a state or group."""
-    with_reg = t % spec.reg_period == 0
-    return spec.schedule.eta(t), with_reg and loss.r.tau > 0.0
-
-
 def _theta_tildes(group, loss, thetas, grads, t):
     """Mirror-step targets of the stacked predictions of one group's rows."""
-    eta, needs_reg = _step_size(group, loss, t)
-    kappa = eta / (2.0 * group.geom.scale)
+    kappa = group.schedule.eta(t) / (2.0 * group.geom.scale)
     v = thetas - kappa * grads
     require_finite(v, "step", t, group.names)
-    if needs_reg:
+    if t % group.reg_period == 0 and loss.r.tau > 0.0:
         # exact on boxes and centred balls; see module docstring
         if isinstance(group.fset, Ball) and np.any(group.fset.center):
             raise ValueError(
@@ -148,15 +141,14 @@ def advance(plan, loss, thetas, grads, t):
     tildes = np.empty_like(thetas)
     for g in plan.groups:
         tildes[g.rows] = _theta_tildes(g, loss, thetas[g.rows], grads[g.rows], t)
-    return tildes, plan.models.apply(tildes, t)
+    return tildes, plan.models.apply(tildes)
 
 
-def dmd_step(state, loss, t=None, diagnostics=False):
-    """Advance one round; returns (new state, next prediction, diagnostics).
+def dmd_step(state, loss, t=None):
+    """Advance one round; returns (new state, next prediction, None).
 
     loss is the round-t composite loss; t defaults to the state's own clock
-    and must match it when given.  diagnostics (opt-in) carries eta_t, the
-    gradient and composite-subgradient norms, and the divergence moved.
+    and must match it when given.
     """
     if t is None:
         t = state.t
@@ -166,29 +158,16 @@ def dmd_step(state, loss, t=None, diagnostics=False):
     g = loss.f_gradient(theta_hat)
     tildes, nexts = advance(StepPlan((state,)), loss, theta_hat[None], g[None], t)
     new_state = replace(state, theta_hat=nexts[0], theta_tilde=tildes[0], t=t + 1)
-    diag = None
-    if diagnostics:
-        eta, needs_reg = _step_size(state, loss, t)
-        subgrad = g + loss.r.subgradient(theta_hat)
-        diag = {
-            "t": t,
-            "eta": eta,
-            "prox_applied": needs_reg,
-            "grad_norm": float(np.linalg.norm(np.ravel(g))),
-            "subgrad_norm": float(np.linalg.norm(np.ravel(subgrad))),
-            "divergence_moved": state.geom.divergence(new_state.theta_tilde,
-                                                      theta_hat),
-        }
-    return new_state, new_state.theta_hat, diag
+    return new_state, new_state.theta_hat, None
 
 
-def comid_step(state, loss, t=None, diagnostics=False):
+def comid_step(state, loss, t=None):
     """dmd_step restricted to the static special case (identity model, prox every step)."""
     if not isinstance(state.model, IdentityModel):
         raise ValueError("comid_step requires an identity-model state")
     if state.reg_period != 1:
         raise ValueError("comid_step requires reg_period = 1")
-    return dmd_step(state, loss, t=t, diagnostics=diagnostics)
+    return dmd_step(state, loss, t=t)
 
 
 def lemma1_check(before, after, loss, comparator_pair, constants, tol=1e-8):
@@ -215,7 +194,7 @@ def lemma1_check(before, after, loss, comparator_pair, constants, tol=1e-8):
     lhs = loss.value(before.theta_hat) - loss.value(theta_t)
     d_now = geom.divergence(theta_t, before.theta_hat)
     d_next = geom.divergence(theta_next, after.theta_hat)
-    dev = float(np.linalg.norm(np.ravel(theta_next - before.model.apply(theta_t, t))))
+    dev = float(np.linalg.norm(np.ravel(theta_next - before.model.apply(theta_t))))
     rhs = ((d_now - d_next) / eta
            + (4.0 * constants.big_m / eta) * dev
            + eta * constants.g_ell ** 2 / (2.0 * constants.sigma))

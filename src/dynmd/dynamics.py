@@ -1,10 +1,9 @@
 """Dynamical models Phi and the non-expansion audit.
 
-All v1 models are time-invariant maps; apply() still takes the time index
-so callers can wire in time-varying models later.  Models never mutate
-their input and map feasible points to feasible points for the sets they
-are used with (shifts preserve boxes containing 0, the attraction map
-preserves [-1, 1] entrywise).
+A model maps a point to a point; both shipped families are
+time-invariant.  Models never mutate their input and map feasible points
+to feasible points for the sets they are used with (shifts preserve boxes
+containing 0, the attraction map preserves [-1, 1] entrywise).
 """
 
 import math
@@ -32,7 +31,7 @@ _SCRATCH_BYTES = 1 << 20
 class DynamicalModel:
     label = "model"
 
-    def apply(self, theta, t=None):
+    def apply(self, theta):
         raise NotImplementedError
 
     def source_index(self, size):
@@ -54,7 +53,7 @@ class IdentityModel(DynamicalModel):
     def __init__(self, label="identity"):
         self.label = label
 
-    def apply(self, theta, t=None):
+    def apply(self, theta):
         return np.array(theta, dtype=float, copy=True)
 
     def source_index(self, size):
@@ -100,7 +99,7 @@ class PixelShift(DynamicalModel):
                 f"point has {size} entries, grid needs {self.rows * self.cols}")
         return self._source
 
-    def apply(self, theta, t=None):
+    def apply(self, theta):
         theta = np.asarray(theta, dtype=float)
         index = self.source_index(theta.size)
         return np.append(theta.ravel(), 0.0)[index].reshape(theta.shape)
@@ -132,7 +131,7 @@ class NetworkAttraction(DynamicalModel):
             raise ValueError(f"point has {size} entries, not a square matrix")
         return np.arange(size)
 
-    def apply(self, theta, t=None):
+    def apply(self, theta):
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
             raise ValueError(f"theta must be square, got shape {theta.shape}")
@@ -182,8 +181,8 @@ def _attraction_blend(theta, top, best, alpha):
 class ModelStack:
     """Applies a fixed list of models to stacks of points of one shape.
 
-    apply(thetas, t) moves row i by models[i]; images(points, t) moves
-    every point by every model.  Both equal the models' own apply bit for
+    apply(thetas) moves row i by models[i]; images(points) moves every
+    point by every model.  Both equal the models' own apply bit for
     bit.  Models that only move entries (shifts, identity, attraction with
     alpha = 0) are one gather over the zero-padded stack, attraction models
     share one _attraction_targets call and each alpha only blends, and any
@@ -216,7 +215,7 @@ class ModelStack:
             raise ValueError(f"stack has shape {stack.shape}, expected {want}")
         return stack
 
-    def apply(self, thetas, t=None):
+    def apply(self, thetas):
         thetas = self._check(thetas, len(self.models))
         if self._index is None:
             out = np.empty_like(thetas)
@@ -228,12 +227,11 @@ class ModelStack:
             out[self._attraction] = _attraction_blend(
                 rows, top, best, self._alphas[:, None, None])
         for i in self._others:
-            out[i] = self.models[i].apply(thetas[i], t)
+            out[i] = self.models[i].apply(thetas[i])
         return out
 
-    def images(self, points, t):
-        """(N, B, *shape) stack whose [i, k] is models[i].apply(points[k],
-        t + k): points[k] is the point at time t + k."""
+    def images(self, points):
+        """(N, B, *shape) stack whose [i, k] is models[i].apply(points[k])."""
         points = self._check(points, None)
         out = np.empty((len(self.models),) + points.shape)
         padded = _padded(points)
@@ -246,7 +244,7 @@ class ModelStack:
                 out[i] = _attraction_blend(points, top, best, model.alpha)
             else:
                 for k, point in enumerate(points):
-                    out[i, k] = model.apply(point, t + k)
+                    out[i, k] = model.apply(point)
         return out
 
     def chunk_length(self):
@@ -265,7 +263,7 @@ def _padded(stack):
 
 
 def model_deviations(points, models):
-    """(T, N) matrix of ||points[t+1] - models[i].apply(points[t], t+1)||
+    """(T, N) matrix of ||points[t+1] - models[i].apply(points[t])||
     for a path of T + 1 points, t = 0 .. T-1, Euclidean over flattened
     points.  The points are moved ModelStack.chunk_length() at a time, so
     scratch memory stays near 1 MB whatever T is."""
@@ -281,7 +279,7 @@ def model_deviations(points, models):
     out = np.empty((T, len(models)))
     for lo in range(0, T, chunk):
         hi = min(lo + chunk, T)
-        diff = pts[lo + 1:hi + 1] - stack.images(pts[lo:hi], lo + 1)
+        diff = pts[lo + 1:hi + 1] - stack.images(pts[lo:hi])
         diff = diff.reshape(len(models), hi - lo, -1)
         out[lo:hi] = np.sqrt(np.einsum("nkj,nkj->kn", diff, diff))
     return out
@@ -329,7 +327,7 @@ def audit_contraction(model, geom, fset, n_pairs=1000, seed=0, threshold=1e-10):
     gaps = np.empty(n_pairs)
     for lo in range(0, n_pairs, chunk):
         a, b = a_pts[lo:lo + chunk], b_pts[lo:lo + chunk]
-        moved = stack.images(a, 1)[0] - stack.images(b, 1)[0]
+        moved = stack.images(a)[0] - stack.images(b)[0]
         gaps[lo:lo + chunk] = (geom.divergences(zero, moved)
                                - geom.divergences(zero, a - b))
     worst = int(np.argmax(gaps))

@@ -94,8 +94,10 @@ def _make_schedule(opts):
 
 
 def _resolve_pool_params(opts, T):
-    lam = opts["lam"] if opts["lam"] >= 0 else default_lambda(opts["m"], T)
-    eta_r = opts["eta_r"] if opts["eta_r"] > 0 else None
+    # only a negative lam or a nonpositive eta_r selects the default, so NaN
+    # reaches fixed_share_init's checks
+    lam = default_lambda(opts["m"], T) if opts["lam"] < 0 else opts["lam"]
+    eta_r = None if opts["eta_r"] <= 0 else opts["eta_r"]
     return lam, eta_r
 
 

@@ -32,15 +32,6 @@ def _row_norms(stack):
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
-def _loss_stream(losses, T):
-    if callable(losses):
-        return losses
-    seq = list(losses)
-    if T is not None and len(seq) != T:
-        raise ValueError(f"{len(seq)} losses for horizon {T}")
-    return lambda t: seq[t - 1]
-
-
 @dataclass(frozen=True)
 class ScenarioResult:
     expert_labels: tuple
@@ -68,15 +59,14 @@ class ScenarioResult:
 
 
 def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None,
-                 collect_agent_values=False, meta=None):
+                 collect_agent_values=False):
     """Drive a fixed-share pool for T rounds.
 
-    losses: callable t -> composite loss (1-based), or a length-T sequence.
-    experts: fresh DMD states, one per dynamical model.  eta_r defaults to
-    1/sqrt(T).  comparator, when given, must hold T + 1 points; its scalar
-    traces feed the bound evaluation later.
+    losses: callable t -> composite loss (1-based).  experts: fresh DMD
+    states, one per dynamical model.  eta_r defaults to 1/sqrt(T).
+    comparator, when given, must hold T + 1 points; its scalar traces feed
+    the bound evaluation later.
     """
-    loss_at = _loss_stream(losses, T)
     experts = list(experts)
     n = len(experts)
     if eta_r is None:
@@ -100,7 +90,7 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None,
     comp_norms = np.empty(T) if pts is not None else None
     agent_values = None
     for t in range(1, T + 1):
-        loss = loss_at(t)
+        loss = losses(t)
         preds = state.theta_hat
         points = preds if pts is None else np.concatenate([preds, pts[t - 1][None]])
         values, grads = loss.values_and_grads(points)
@@ -124,10 +114,8 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None,
             if agent_values is None:
                 agent_values = np.empty((T, per_agent.shape[0]))
             agent_values[t - 1] = per_agent
-    full_meta = {"T": T, "n_experts": n, "lam": lam,
-                 "eta_r": eta_r,
-                 "labels": ",".join(labels)}
-    full_meta.update(meta or {})
+    meta = {"T": T, "n_experts": n, "lam": lam, "eta_r": eta_r,
+            "labels": ",".join(labels)}
     return ScenarioResult(
         expert_labels=labels, weights=weights, expert_losses=expert_losses,
         dfs_losses=dfs_losses, pred_norms=pred_norms,
@@ -135,7 +123,7 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None,
         comparator_points=pts, comparator_losses=comp_losses,
         comparator_divergences=comp_div,
         comparator_subgrad_norms=comp_subgrad, comparator_norms=comp_norms,
-        agent_values=agent_values, final_state=state, meta=full_meta)
+        agent_values=agent_values, final_state=state, meta=meta)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ noise block, and the round-t observation x_t = A_t frame_{t-1} + noise_{t-1}
 is formed from the one matrix that loss(t) draws, so a run draws each
 matrix once.  Frames are cheap and are stored for the whole horizon: frame
 t - 1 in the stack is the scene the round-t observation measured, and the
-extra final frame closes the path for variation measures.
+extra final frame closes the comparator path whose deviations from each
+model the bound curves need.
 
 A matrix depends only on the seed and the round, never on the learner's
 play, so it is drawn ahead of time.  When round t's matrix is asked for,

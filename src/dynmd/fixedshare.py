@@ -60,26 +60,20 @@ def default_lambda(m, T):
     return m / T
 
 
-def fixed_share_init(experts, lam, eta_r, weights=None):
+def fixed_share_init(experts, lam, eta_r):
+    """Pool of the given fresh DMD states with uniform weights."""
     experts = tuple(experts)
     if len(experts) == 0:
         raise ValueError("at least one expert is required")
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    if not (eta_r > 0):
-        raise ValueError(f"eta_r must be positive, got {eta_r}")
+    if not (0.0 < eta_r < np.inf):
+        raise ValueError(f"eta_r must be positive and finite, got {eta_r}")
     if len({e.theta_hat.shape for e in experts}) > 1:
         raise ValueError("experts must share one parameter shape")
     n = len(experts)
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,):
-            raise ValueError(f"weights must have shape ({n},)")
-        if np.any(weights < 0) or not np.isclose(weights.sum(), 1.0, atol=1e-9):
-            raise ValueError("weights must be nonnegative and sum to 1")
-    return FixedShareState(weights=weights, eta_r=float(eta_r), lam=float(lam),
+    return FixedShareState(weights=np.full(n, 1.0 / n), eta_r=float(eta_r),
+                           lam=float(lam),
                            theta_hat=np.stack([e.theta_hat for e in experts]),
                            theta_tilde=np.stack([e.theta_tilde for e in experts]),
                            t=1, plan=StepPlan(experts))

@@ -334,22 +334,3 @@ class BoundConstants:
                    big_m=geom.scale * float(np.max(point_norms)),
                    d_max=float(np.max(divergences)), sigma=geom.sigma)
 
-
-def estimate_bound_constants(geom, fset, losses, points):
-    """Estimate (g_ell, big_m, d_max, sigma) over finite samples.
-
-    losses is a sequence of composite losses; points is a sequence of
-    parameter points or a stacked array.  Every point must belong to fset.
-    """
-    pts = [np.asarray(p, dtype=float) for p in points]
-    for p in pts:
-        if not fset.contains(p, tol=1e-7):
-            raise ValueError("sample point outside the feasible set")
-    subgrad_norms = [np.linalg.norm(np.ravel(loss.subgradient(p)))
-                     for loss in losses for p in pts]
-    if not subgrad_norms:
-        raise ValueError("points and losses must be non-empty")
-    stack = np.stack(pts)
-    return BoundConstants.from_samples(
-        geom, subgrad_norms, [np.linalg.norm(p.ravel()) for p in pts],
-        [geom.divergences(p, stack).max() for p in pts])

@@ -1,9 +1,10 @@
-"""Regret evaluation: comparator sequences, variation measures, the
-switching-comparator DP, horizon bounds, and the tracking decomposition.
+"""Regret evaluation: comparator sequences, the switching-comparator DP,
+the Theorem 2 bound curve, and the tracking decomposition.
 
 A comparator sequence holds T + 1 points theta_1 .. theta_{T+1}; the
-regret sums use the first T points while the variation measures need the
-final one.  All norms are Euclidean over flattened points.
+regret sums use the first T points while the comparator's deviations
+from a model's flow (dynamics.model_deviations) need the final one.  All
+norms are Euclidean over flattened points.
 """
 
 import math
@@ -29,11 +30,6 @@ class ComparatorSequence:
     def __len__(self):
         return self.points.shape[0]
 
-    @property
-    def horizon(self):
-        """T such that the sequence is theta_1 .. theta_{T+1}."""
-        return self.points.shape[0] - 1
-
     def __repr__(self):
         return f"ComparatorSequence(label={self.label!r}, len={len(self)})"
 
@@ -56,18 +52,6 @@ def cumulative_regret(losses, predictions, comparator):
     diffs = np.array([losses[t].value(predictions[t]) - losses[t].value(pts[t])
                       for t in range(T)])
     return np.cumsum(diffs)
-
-
-def variation(comparator):
-    """sum_t ||theta_{t+1} - theta_t|| over the sequence."""
-    pts = path_points(comparator)
-    diffs = pts[1:] - pts[:-1]
-    return float(np.sqrt((diffs.reshape(diffs.shape[0], -1) ** 2).sum(axis=1)).sum())
-
-
-def variation_phi(comparator, model):
-    """sum_t ||theta_{t+1} - Phi(theta_t)||: deviation from the model's flow."""
-    return float(model_deviations(path_points(comparator), [model]).sum())
 
 
 def _segmented_min(cost, n_segments):
@@ -165,26 +149,18 @@ def best_segmentation(comparator, models, m):
         segments=segments)
 
 
-def theorem2_bound(constants, schedule, v_phi, T):
-    """Horizon bound for one DMD instance:
-
-        d_max / eta_{T+1} + (4 M / eta_T) * V_Phi
-        + (g_ell^2 / (2 sigma)) * sum_{t<=T} eta_t
-    """
-    if int(T) != T or T < 1:
-        raise ValueError(f"T must be an integer >= 1, got {T}")
-    if v_phi < 0:
-        raise ValueError(f"v_phi must be >= 0, got {v_phi}")
-    etas = schedule.etas(T + 1)
-    return float(constants.d_max / etas[T]
-                 + 4.0 * constants.big_m / etas[T - 1] * v_phi
-                 + constants.g_ell ** 2 / (2.0 * constants.sigma) * etas[:T].sum())
-
-
 def theorem2_curve(constants, schedule, deviations):
-    """Vector of theorem2_bound values at every prefix t = 1..T, given the
-    per-step comparator deviations ||theta_{t+1} - Phi(theta_t)||."""
+    """Theorem 2's bound for one DMD instance at every prefix t = 1..T:
+
+        d_max / eta_{t+1} + (4 M / eta_t) * V_Phi(t)
+        + (g_ell^2 / (2 sigma)) * sum_{s<=t} eta_s
+
+    deviations holds the per-step comparator deviations ||theta_{s+1} -
+    Phi(theta_s)||, and V_Phi(t) is their sum over s <= t.
+    """
     dev = np.asarray(deviations, dtype=float)
+    if dev.ndim != 1 or dev.size == 0 or np.any(dev < 0):
+        raise ValueError("deviations must be a nonempty vector of norms >= 0")
     T = dev.shape[0]
     etas = schedule.etas(T + 1)
     return (constants.d_max / etas[1:]

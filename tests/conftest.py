@@ -20,3 +20,16 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=float)
     denom = max(1.0, float(np.linalg.norm(b.ravel())))
     return float(np.linalg.norm((a - b).ravel())) / denom
+
+
+def sampled_constants(geom, losses, points):
+    """BoundConstants over a finite sample: subgradient norms of every loss
+    at every point, the point norms, and every pairwise divergence."""
+    from dynmd import BoundConstants
+
+    stack = np.stack([np.asarray(p, dtype=float) for p in points])
+    return BoundConstants.from_samples(
+        geom,
+        [np.linalg.norm(np.ravel(loss.subgradient(p))) for loss in losses for p in stack],
+        [np.linalg.norm(np.ravel(p)) for p in stack],
+        [geom.divergences(p, stack).max() for p in stack])

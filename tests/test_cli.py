@@ -81,6 +81,24 @@ def test_run_votes_rejects_empty_synthetic_stream(tmp_path, capsys):
     assert not (tmp_path / "vv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    VIDEO_ARGS, ["run-votes", "--agents", "4", "--t", "5", "--sweeps", "1"]],
+    ids=["video", "votes"])
+@pytest.mark.parametrize("flag,value,name", [
+    ("--eta-r", "inf", "eta_r"), ("--eta-r", "nan", "eta_r"),
+    ("--lam", "nan", "lam")])
+def test_nonfinite_pool_params_are_clean_errors(tmp_path, capsys, recwarn,
+                                                command, flag, value, name):
+    # a NaN must not fall back to the default, and an infinite eta_r must
+    # not reach the weight update
+    out = tmp_path / "o"
+    assert main(command + [flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must ")
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_bad_boolean_flag_names_the_value(capsys):
     with pytest.raises(SystemExit) as exc:
         main(VIDEO_ARGS + ["--identity-sensing", "maybe"])

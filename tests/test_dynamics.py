@@ -20,7 +20,7 @@ def test_identity_model():
     rng = np.random.default_rng(3)
     m = IdentityModel()
     p = rng.normal(size=(4, 4))
-    out = m.apply(p, t=7)
+    out = m.apply(p)
     assert np.array_equal(out, p)
     out[0, 0] = 99.0  # must be a copy
     assert p[0, 0] != 99.0
@@ -175,17 +175,11 @@ def test_pixel_shift_gather_matches_slice_reference():
 
 
 class _Doubling(DynamicalModel):
+    # a user-defined model: ModelStack applies it point by point
     label = "double"
 
-    def apply(self, theta, t=None):
+    def apply(self, theta):
         return 2.0 * np.asarray(theta, dtype=float)
-
-
-class _TimeScaled(DynamicalModel):
-    label = "time-scaled"
-
-    def apply(self, theta, t=None):
-        return np.asarray(theta, dtype=float) * (1.0 + 0.25 * t)
 
 
 def _attraction_pool():
@@ -217,10 +211,10 @@ def test_model_stack_rows_equal_each_models_apply(shape):
             models.append(NetworkAttraction(0.5))  # needs square matrices
         thetas = rng.uniform(-1.0, 1.0, size=(len(models),) + shape)
     stack = ModelStack(models, shape)
-    out = stack.apply(thetas, 3)
+    out = stack.apply(thetas)
     assert out.shape == thetas.shape
     for i, model in enumerate(models):
-        assert same_bits(out[i], model.apply(thetas[i], 3))
+        assert same_bits(out[i], model.apply(thetas[i]))
     with pytest.raises(ValueError):
         stack.apply(thetas[1:])
 
@@ -232,7 +226,7 @@ def _deviation_loop(points, models):
     norms = np.empty((T, len(models)))
     for i, model in enumerate(models):
         for t in range(T):
-            images[i, t] = model.apply(points[t], t + 1)
+            images[i, t] = model.apply(points[t])
             norms[t, i] = np.linalg.norm(np.ravel(points[t + 1] - images[i, t]))
     return images, norms
 
@@ -246,16 +240,16 @@ def test_model_deviations_match_per_point_apply(kind, scratch, monkeypatch):
     rng = np.random.default_rng(83)
     T = 23
     if kind == "attraction":
-        models = _attraction_pool() + [_TimeScaled()]
+        models = _attraction_pool() + [_Doubling()]
         points = _tied_matrices(rng, T + 1, 4)
         points[1::2] = rng.uniform(-1.0, 1.0, size=points[1::2].shape)
     else:
-        models = shift_family(3, 4, boundary=kind) + [_TimeScaled()]
+        models = shift_family(3, 4, boundary=kind) + [_Doubling()]
         points = rng.uniform(-1.0, 1.0, size=(T + 1, 12))
     want_images, want = _deviation_loop(points, models)
     stack = ModelStack(models, points.shape[1:])
     assert scratch is None or stack.chunk_length() < T
-    assert same_bits(stack.images(points[:-1], 1), want_images)
+    assert same_bits(stack.images(points[:-1]), want_images)
     got = model_deviations(points, models)
     assert got.shape == (T, len(models))
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)

@@ -225,13 +225,11 @@ def test_init_validation():
         fixed_share_init([], lam=0.1, eta_r=1.0)
     with pytest.raises(ValueError):
         fixed_share_init(experts, lam=1.5, eta_r=1.0)
-    with pytest.raises(ValueError):
-        fixed_share_init(experts, lam=0.1, eta_r=0.0)
-    with pytest.raises(ValueError):
-        fixed_share_init(experts, lam=0.1, eta_r=1.0, weights=np.array([0.5]))
-    with pytest.raises(ValueError):
-        fixed_share_init(experts, lam=0.1, eta_r=1.0,
-                         weights=np.array([0.9, 0.3]))
+    for eta_r in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eta_r"):
+            fixed_share_init(experts, lam=0.1, eta_r=eta_r)
+    with pytest.raises(ValueError, match="lam"):
+        fixed_share_init(experts, lam=math.nan, eta_r=1.0)
     mixed = make_experts(1, [[0.0]]) + make_experts(1, [[0.0, 0.0]])
     with pytest.raises(ValueError):
         fixed_share_init(mixed, lam=0.1, eta_r=1.0)

@@ -5,14 +5,16 @@ import pytest
 
 from dynmd import (
     Ball,
+    BoundConstants,
     Box,
     ConstantStep,
     DoublingStep,
     SquaredEuclidean,
     Unconstrained,
-    estimate_bound_constants,
     least_squares,
 )
+
+from conftest import sampled_constants
 
 
 def bregman_oracle(scale, a, b):
@@ -222,9 +224,8 @@ def test_schedule_argument_errors():
 def test_bound_constants_degenerate_sample():
     # single point at the minimizer of a single loss: every estimate is zero
     geom = SquaredEuclidean(0.5)
-    fset = Unconstrained(1)
     loss = least_squares(np.eye(1), np.zeros(1), tau=0.0)  # 0.5 * theta^2
-    consts = estimate_bound_constants(geom, fset, [loss], [np.zeros(1)])
+    consts = sampled_constants(geom, [loss], [np.zeros(1)])
     assert consts.g_ell == 0.0
     assert consts.big_m == 0.0
     assert consts.d_max == 0.0
@@ -235,10 +236,8 @@ def test_bound_constants_two_point_example():
     # points {0, 1}, f = 0.5 theta^2, psi = 0.5 ||theta||^2:
     # G = max(|0|, |1|) = 1, M = 0.5 * max ||grad psi|| = 0.5, D_max = 0.5
     geom = SquaredEuclidean(0.5)
-    fset = Unconstrained(1)
     loss = least_squares(np.eye(1), np.zeros(1), tau=0.0)
-    consts = estimate_bound_constants(
-        geom, fset, [loss], [np.zeros(1), np.ones(1)])
+    consts = sampled_constants(geom, [loss], [np.zeros(1), np.ones(1)])
     assert consts.g_ell == pytest.approx(1.0, rel=1e-12)
     assert consts.big_m == pytest.approx(0.5, rel=1e-12)
     assert consts.d_max == pytest.approx(0.5, rel=1e-12)
@@ -251,7 +250,7 @@ def test_bound_constants_match_exhaustive_oracle():
     losses = [least_squares(rng.normal(size=(4, 3)), rng.normal(size=4), tau=0.2)
               for _ in range(5)]
     pts = list(fset.sample(rng, 40))
-    consts = estimate_bound_constants(geom, fset, losses, pts)
+    consts = sampled_constants(geom, losses, pts)
     g = max(np.linalg.norm(l.subgradient(p)) for l in losses for p in pts)
     m = max(0.5 * np.linalg.norm(2 * geom.scale * p) for p in pts)
     d = max(geom.divergence(a, b) for a in pts for b in pts)
@@ -268,7 +267,7 @@ def test_bound_constants_grow_with_sample():
     pts = list(fset.sample(rng, 30))
     prev = None
     for n in (1, 5, 10, 30):
-        consts = estimate_bound_constants(geom, fset, losses, pts[:n])
+        consts = sampled_constants(geom, losses, pts[:n])
         if prev is not None:
             assert consts.g_ell >= prev.g_ell - 1e-12
             assert consts.big_m >= prev.big_m - 1e-12
@@ -276,11 +275,10 @@ def test_bound_constants_grow_with_sample():
         prev = consts
 
 
-def test_bound_constants_reject_outside_points():
+def test_bound_constants_reject_empty_samples():
     geom = SquaredEuclidean(1.0)
-    fset = Box(0.0, 1.0, shape=2)
-    loss = least_squares(np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        estimate_bound_constants(geom, fset, [loss], [np.array([2.0, 0.0])])
-    with pytest.raises(ValueError):
-        estimate_bound_constants(geom, fset, [loss], [])
+    for empty in range(3):
+        samples = [[1.0], [1.0], [1.0]]
+        samples[empty] = []
+        with pytest.raises(ValueError):
+            BoundConstants.from_samples(geom, *samples)

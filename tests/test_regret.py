@@ -19,13 +19,11 @@ from dynmd import (
     fixed_share_bound,
     least_squares,
     moving_average,
-    theorem2_bound,
     theorem2_curve,
     tracking_decomposition_from_losses,
-    variation,
-    variation_phi,
 )
 import dynmd.regret
+from dynmd.dynamics import model_deviations
 from dynmd.regret import _segmented_min
 
 
@@ -55,7 +53,6 @@ def test_comparator_sequence_basics():
     pts = np.zeros((5, 3))
     comp = ComparatorSequence(pts, label="flat")
     assert len(comp) == 5
-    assert comp.horizon == 4
     assert "flat" in repr(comp)
     with pytest.raises(ValueError):
         ComparatorSequence(np.zeros((1, 3)))
@@ -101,12 +98,17 @@ def test_cumulative_regret_matches_prefix_sums():
         assert abs(curve[t - 1] - want) < 1e-10
 
 
+def variation(points):
+    # plain path variation: the deviations from the identity model's flow
+    return float(model_deviations(points, [IdentityModel()]).sum())
+
+
 def test_variation_frozen_and_loop_oracle():
     assert variation(np.array([[0.0], [3.0]])) == 3.0
     rng = np.random.default_rng(97)
     pts = rng.normal(size=(7, 2, 3))
     want = sum(np.linalg.norm((pts[t + 1] - pts[t]).ravel()) for t in range(6))
-    assert abs(variation(ComparatorSequence(pts)) - want) < 1e-12
+    assert abs(variation(pts) - want) < 1e-12
 
 
 def test_variation_phi_zero_for_model_following_path():
@@ -116,11 +118,11 @@ def test_variation_phi_zero_for_model_following_path():
     pts = [frame.ravel()]
     for _ in range(6):
         pts.append(model.apply(pts[-1]))
-    comp = ComparatorSequence(np.stack(pts))
-    assert variation_phi(comp, model) == 0.0
-    assert variation_phi(comp, IdentityModel()) == pytest.approx(
-        variation(comp), abs=1e-12)
-    assert variation(comp) > 0.0
+    pts = np.stack(pts)
+    assert model_deviations(pts, [model]).sum() == 0.0
+    want = sum(np.linalg.norm(pts[t + 1] - pts[t]) for t in range(6))
+    assert variation(pts) == pytest.approx(want, abs=1e-12)
+    assert variation(pts) > 0.0
 
 
 def test_best_segmentation_recovers_planted_switch():
@@ -188,13 +190,14 @@ def test_best_segmentation_validation():
 
 def test_theorem2_bound_frozen_example():
     consts = BoundConstants(g_ell=2.0, big_m=1.5, d_max=4.0, sigma=1.0)
-    got = theorem2_bound(consts, ConstantStep(0.5), v_phi=3.0, T=10)
+    dev = np.array([1.0, 0.0, 2.0] + [0.0] * 7)  # V_Phi = 3 over T = 10
+    got = theorem2_curve(consts, ConstantStep(0.5), dev)[-1]
     # 4/0.5 + (4*1.5/0.5)*3 + (4/2)*(0.5*10) = 8 + 36 + 10
     assert got == pytest.approx(54.0, abs=1e-12)
     with pytest.raises(ValueError):
-        theorem2_bound(consts, ConstantStep(0.5), v_phi=-1.0, T=10)
+        theorem2_curve(consts, ConstantStep(0.5), -dev)
     with pytest.raises(ValueError):
-        theorem2_bound(consts, ConstantStep(0.5), v_phi=1.0, T=0)
+        theorem2_curve(consts, ConstantStep(0.5), np.zeros(0))
 
 
 def test_theorem2_curve_matches_per_prefix_bounds():
@@ -205,7 +208,11 @@ def test_theorem2_curve_matches_per_prefix_bounds():
     curve = theorem2_curve(consts, sched, dev)
     assert curve.shape == (12,)
     for t in range(1, 13):
-        want = theorem2_bound(consts, sched, float(dev[:t].sum()), t)
+        # Theorem 2 at horizon t, one scalar term at a time
+        want = (consts.d_max / sched.eta(t + 1)
+                + 4.0 * consts.big_m / sched.eta(t) * float(dev[:t].sum())
+                + consts.g_ell ** 2 / (2.0 * consts.sigma)
+                * sum(sched.eta(s) for s in range(1, t + 1)))
         assert curve[t - 1] == pytest.approx(want, rel=1e-12)
 
 
