@@ -23,7 +23,7 @@ ALPHAS = (0.0, 0.001, 0.002, 0.003, 0.004)
 
 stream, thetas = synthetic_votes(n_agents=P, T=T, drift_alpha=0.002, seed=0,
                                  sweeps=4)
-drift = float(np.abs(thetas[-1] - thetas[0]).max())
+drift = float(np.abs(thetas[T - 1] - thetas[0]).max())
 print(f"stream: {P} agents, T={T}, planted drift rate 0.002, "
       f"max entry movement {drift:.2f}")
 
@@ -34,8 +34,7 @@ experts = [dmd_init(geom, fset, NetworkAttraction(a), schedule,
                     reg_period=10) for a in ALPHAS]
 
 result = run_scenario(lambda t: stream.loss(t, tau=0.1), T, experts,
-                      lam=default_lambda(3, T), eta_r=1.0 / math.sqrt(T),
-                      collect_agent_values=True)
+                      lam=default_lambda(3, T), eta_r=1.0 / math.sqrt(T))
 labels = result.expert_labels
 
 tail = slice(3 * T // 4, T)

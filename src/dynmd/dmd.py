@@ -144,16 +144,12 @@ def advance(plan, loss, thetas, grads, t):
     return tildes, plan.models.apply(tildes)
 
 
-def dmd_step(state, loss, t=None):
+def dmd_step(state, loss):
     """Advance one round; returns (new state, next prediction, None).
 
-    loss is the round-t composite loss; t defaults to the state's own clock
-    and must match it when given.
+    loss is the composite loss of round state.t.
     """
-    if t is None:
-        t = state.t
-    elif t != state.t:
-        raise ValueError(f"step called with t={t} but state clock is {state.t}")
+    t = state.t
     theta_hat = state.theta_hat
     g = loss.f_gradient(theta_hat)
     tildes, nexts = advance(StepPlan((state,)), loss, theta_hat[None], g[None], t)
@@ -161,13 +157,13 @@ def dmd_step(state, loss, t=None):
     return new_state, new_state.theta_hat, None
 
 
-def comid_step(state, loss, t=None):
+def comid_step(state, loss):
     """dmd_step restricted to the static special case (identity model, prox every step)."""
     if not isinstance(state.model, IdentityModel):
         raise ValueError("comid_step requires an identity-model state")
     if state.reg_period != 1:
         raise ValueError("comid_step requires reg_period = 1")
-    return dmd_step(state, loss, t=t)
+    return dmd_step(state, loss)
 
 
 def lemma1_check(before, after, loss, comparator_pair, constants, tol=1e-8):

@@ -47,8 +47,7 @@ VIDEO_DEFAULTS = {
     "model_boundary": "zero", "tau": -1.0, "c": 1.0, "box_lo": 0.0,
     "box_hi": 1.0, "reg_period": 1, "eta_kind": "doubling",
     "eta_horizon0": 32, "eta_growth": 2.0, "eta_scale": 0.5,
-    "eta_const": 0.1, "lam": -1.0, "eta_r": -1.0, "m": 1, "window": 30,
-    "out": "out-video",
+    "eta_const": 0.1, "lam": -1.0, "eta_r": -1.0, "m": 1, "out": "out-video",
 }
 
 VOTES_DEFAULTS = {
@@ -57,7 +56,7 @@ VOTES_DEFAULTS = {
     "alphas": "0,0.001,0.002,0.003,0.004", "tau": 0.1, "c": 0.5,
     "reg_period": 10, "eta_kind": "doubling", "eta_horizon0": 10,
     "eta_growth": 10.0, "eta_scale": 1.0, "eta_const": 0.1, "lam": -1.0,
-    "eta_r": -1.0, "m": 3, "window": 50, "out": "out-votes",
+    "eta_r": -1.0, "m": 3, "out": "out-votes",
 }
 
 AUDIT_DEFAULTS = {
@@ -93,12 +92,23 @@ def _make_schedule(opts):
     raise ValueError(f"eta_kind must be 'constant' or 'doubling', got {kind!r}")
 
 
-def _resolve_pool_params(opts, T):
+def _run_pool(opts, losses, T, fset, models, comparator):
+    """Track the loss stream with one DMD expert per model, pooled by
+    fixed share.  Returns the run and, when there is a comparator, its
+    evaluation (None otherwise)."""
+    geom = SquaredEuclidean(opts["c"])
+    schedule = _make_schedule(opts)
+    experts = [dmd_init(geom, fset, model, schedule,
+                        reg_period=opts["reg_period"]) for model in models]
     # only a negative lam or a nonpositive eta_r selects the default, so NaN
     # reaches fixed_share_init's checks
     lam = default_lambda(opts["m"], T) if opts["lam"] < 0 else opts["lam"]
     eta_r = None if opts["eta_r"] <= 0 else opts["eta_r"]
-    return lam, eta_r
+    result = run_scenario(losses, T, experts, lam=lam, eta_r=eta_r,
+                          comparator=comparator)
+    if comparator is None:
+        return result, None
+    return result, evaluate_run(result, m=opts["m"])
 
 
 def _write_outputs(out, result, evaluation, extra_meta):
@@ -133,25 +143,18 @@ def cmd_run_video(args):
         seed=opts["seed"], boundary=opts["boundary"],
         identity_sensing=opts["identity_sensing"])
     data = generate_video(scenario)
-    geom = SquaredEuclidean(opts["c"])
-    n = data.n_pixels
-    fset = Box(opts["box_lo"], opts["box_hi"], shape=(n,))
-    schedule = _make_schedule(opts)
+    fset = Box(opts["box_lo"], opts["box_hi"], shape=(data.n_pixels,))
     models = shift_family(opts["rows"], opts["cols"],
                           boundary=opts["model_boundary"])
-    experts = [dmd_init(geom, fset, model, schedule,
-                        reg_period=opts["reg_period"]) for model in models]
     tau = None if opts["tau"] < 0 else opts["tau"]
-    lam, eta_r = _resolve_pool_params(opts, data.T)
-    result = run_scenario(lambda t: data.loss(t, tau=tau), data.T, experts,
-                          lam=lam, eta_r=eta_r, comparator=data.comparator())
-    evaluation = evaluate_run(result, m=opts["m"], window=opts["window"])
+    result, evaluation = _run_pool(opts, lambda t: data.loss(t, tau=tau),
+                                   data.T, fset, models, data.comparator())
     _write_outputs(opts["out"], result, evaluation, {
         "tau": f"{data.tau_default if tau is None else tau:.6g}",
         "clipped_steps": len(data.clipped_steps),
         "scenario": repr(scenario),
     })
-    print(f"run-video: T={data.T}, {len(experts)} experts, "
+    print(f"run-video: T={data.T}, {result.n_experts} experts, "
           f"final regret {evaluation.dfs_regret[-1]:.4f} -> {opts['out']}")
     return 0
 
@@ -164,33 +167,20 @@ def cmd_run_votes(args):
         T = stream.T
     else:
         T = opts["t"]
-        stream, thetas = synthetic_votes(
+        stream, comparator = synthetic_votes(
             n_agents=opts["agents"], T=T, drift_alpha=opts["drift_alpha"],
             seed=opts["seed"], sweeps=opts["sweeps"],
             missing_prob=opts["missing_prob"], init_scale=opts["init_scale"])
-        drift = NetworkAttraction(opts["drift_alpha"])
-        comparator = np.concatenate(
-            [thetas, drift.apply(thetas[-1])[None]], axis=0)
     p = stream.n_agents
-    geom = SquaredEuclidean(opts["c"])
-    fset = Box(-1.0, 1.0, shape=(p, p))
-    schedule = _make_schedule(opts)
-    alphas = parse_floats(opts["alphas"])
-    models = [NetworkAttraction(a) for a in alphas]
-    experts = [dmd_init(geom, fset, model, schedule,
-                        reg_period=opts["reg_period"]) for model in models]
-    lam, eta_r = _resolve_pool_params(opts, T)
-    result = run_scenario(lambda t: stream.loss(t, tau=opts["tau"]), T,
-                          experts, lam=lam, eta_r=eta_r,
-                          comparator=comparator, collect_agent_values=True)
-    evaluation = None
-    if comparator is not None:
-        evaluation = evaluate_run(result, m=opts["m"], window=opts["window"])
+    models = [NetworkAttraction(a) for a in parse_floats(opts["alphas"])]
+    result, evaluation = _run_pool(
+        opts, lambda t: stream.loss(t, tau=opts["tau"]), T,
+        Box(-1.0, 1.0, shape=(p, p)), models, comparator)
     _write_outputs(opts["out"], result, evaluation, {
         "stream": stream.label, "alphas": opts["alphas"],
     })
     tail = result.dfs_losses[-max(1, T // 4):].mean()
-    print(f"run-votes: T={T}, p={p}, {len(experts)} experts, "
+    print(f"run-votes: T={T}, p={p}, {result.n_experts} experts, "
           f"final-quarter mean loss {tail:.4f} -> {opts['out']}")
     return 0
 

@@ -20,7 +20,6 @@ from ..dynamics import model_deviations
 from ..fixedshare import dfs_step, fixed_share_init
 from ..geometry import BoundConstants
 from ..regret import (
-    moving_average,
     path_points,
     theorem2_curve,
     tracking_decomposition_from_losses,
@@ -58,14 +57,14 @@ class ScenarioResult:
         return len(self.expert_labels)
 
 
-def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None,
-                 collect_agent_values=False):
+def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
     """Drive a fixed-share pool for T rounds.
 
     losses: callable t -> composite loss (1-based).  experts: fresh DMD
     states, one per dynamical model.  eta_r defaults to 1/sqrt(T).
     comparator, when given, must hold T + 1 points; its scalar traces feed
-    the bound evaluation later.
+    the bound evaluation later.  When loss.f scores each agent
+    (per_agent_values), the aggregate's per-agent values are recorded.
     """
     experts = list(experts)
     n = len(experts)
@@ -109,8 +108,9 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None,
         weights[t - 1] = state.weights
         expert_losses[t - 1] = losses_t
         dfs_losses[t - 1] = loss.value(aggregated)
-        if collect_agent_values:
-            per_agent = loss.f.per_agent_values(aggregated)
+        per_agent_values = getattr(loss.f, "per_agent_values", None)
+        if per_agent_values is not None:
+            per_agent = per_agent_values(aggregated)
             if agent_values is None:
                 agent_values = np.empty((T, per_agent.shape[0]))
             agent_values[t - 1] = per_agent
@@ -135,11 +135,9 @@ class RunEvaluation:
     constants: tuple  # one BoundConstants per expert, sampled from the run
     bound_curves: np.ndarray  # (T, N)
     decomposition: object
-    dfs_loss_avg: np.ndarray  # (T,) trailing mean
-    expert_loss_avg: np.ndarray  # (T, N)
 
 
-def evaluate_run(result, m=0, window=30):
+def evaluate_run(result, m=0):
     """Regret curves, run-sampled bound curves, and the m-switch tracking
     decomposition for a run recorded against a comparator.  Each expert's
     model, geometry and schedule come from the run's plan."""
@@ -164,15 +162,11 @@ def evaluate_run(result, m=0, window=30):
         curves[:, i] = theorem2_curve(consts, spec.schedule, deviations[:, i])
     decomposition = tracking_decomposition_from_losses(
         result.dfs_losses, result.expert_losses, result.comparator_losses, m)
-    expert_loss_avg = np.column_stack(
-        [moving_average(result.expert_losses[:, i], window) for i in range(n)])
     return RunEvaluation(
         dfs_regret=dfs_regret, expert_regret=expert_regret,
         deviations=deviations, v_phi=deviations.sum(axis=0),
         constants=tuple(constants), bound_curves=curves,
-        decomposition=decomposition,
-        dfs_loss_avg=moving_average(result.dfs_losses, window),
-        expert_loss_avg=expert_loss_avg)
+        decomposition=decomposition)
 
 
 def write_losses_csv(path, result):
@@ -223,12 +217,9 @@ def write_meta(path, mapping):
 
 
 def _write_csv(path, cols, data):
-    stacked = np.column_stack(data)
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in stacked:
-            fields = [str(int(row[0]))] + [f"{v:.12g}" for v in row[1:]]
-            fh.write(",".join(fields) + "\n")
+    fmt = ["%d"] + ["%.12g"] * (len(cols) - 1)
+    np.savetxt(path, np.column_stack(data), fmt=fmt, delimiter=",",
+               header=",".join(cols), comments="")
 
 
 def read_losses_csv(path):

@@ -205,18 +205,13 @@ class VideoData:
             return self._sensing
         return self._sensing.matrix(t)
 
-    def _observe(self, A, t):
-        return A @ self.frames[t - 1] + self.noise[t - 1]
-
-    def observation(self, t):
-        """Round-t measurement vector A_t frame_{t-1} + noise (draws A_t)."""
-        return self._observe(self.matrix(t), t)
-
     def loss(self, t, tau=None):
-        """Round-t data-fit objective with the scenario's default l1 weight."""
+        """Round-t data-fit objective with the scenario's default l1 weight;
+        its observation is A_t frame_{t-1} + noise_{t-1} (loss(t).f.x)."""
         tau = self.tau_default if tau is None else tau
         A = self.matrix(t)
-        return least_squares(A, self._observe(A, t), tau=tau)
+        x = A @ self.frames[t - 1] + self.noise[t - 1]
+        return least_squares(A, x, tau=tau)
 
     def comparator(self):
         from ..regret import ComparatorSequence

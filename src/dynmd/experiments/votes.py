@@ -128,8 +128,8 @@ def synthetic_votes(n_agents=20, T=2000, drift_alpha=0.003, seed=0,
     The hidden matrix starts uniform in [-init_scale, init_scale], drifts
     each round under NetworkAttraction(drift_alpha), and votes are Gibbs
     samples warm-started from the previous round.  Returns (VoteStream,
-    thetas) with thetas of shape (T, p, p): thetas[t - 1] generated the
-    round-t votes.
+    thetas) with thetas the (T + 1, p, p) hidden path: thetas[t - 1]
+    generated the round-t votes, and thetas[T] is the drift's last step.
     """
     if n_agents < 1:
         raise ValueError(f"n_agents must be >= 1, got {n_agents}")
@@ -150,7 +150,7 @@ def synthetic_votes(n_agents=20, T=2000, drift_alpha=0.003, seed=0,
     x = rng.choice([-1.0, 1.0], size=n_agents)
     x = _gibbs_sweeps(theta, x, burn_in, rng)
     votes = np.empty((T, n_agents), dtype=np.int8)
-    thetas = np.empty((T, n_agents, n_agents))
+    thetas = np.empty((T + 1, n_agents, n_agents))
     for t in range(T):
         thetas[t] = theta
         x = _gibbs_sweeps(theta, x, sweeps, rng)
@@ -159,4 +159,5 @@ def synthetic_votes(n_agents=20, T=2000, drift_alpha=0.003, seed=0,
             row = np.where(rng.random(n_agents) < missing_prob, 0, row)
         votes[t] = row
         theta = model.apply(theta)
+    thetas[T] = theta
     return VoteStream(votes, label=f"synthetic(p={n_agents}, T={T})"), thetas

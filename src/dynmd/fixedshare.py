@@ -79,7 +79,7 @@ def fixed_share_init(experts, lam, eta_r):
                            t=1, plan=StepPlan(experts))
 
 
-def dfs_step(state, loss, t=None, evaluated=None):
+def dfs_step(state, loss, evaluated=None):
     """Advance one round; returns (new state, aggregated prediction, expert losses).
 
     evaluated, when given, is loss.values_and_grads at the stacked expert
@@ -87,10 +87,7 @@ def dfs_step(state, loss, t=None, evaluated=None):
     here otherwise.  A non-finite loss, gradient or step raises
     FloatingPointError naming the round, the expert and the layer.
     """
-    if t is None:
-        t = state.t
-    elif t != state.t:
-        raise ValueError(f"step called with t={t} but state clock is {state.t}")
+    t = state.t
     preds = state.theta_hat
     if evaluated is None:
         evaluated = loss.values_and_grads(preds)

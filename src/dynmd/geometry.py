@@ -190,17 +190,13 @@ class Ball(FeasibleSet):
 
     def sample(self, rng, n):
         flat = int(np.prod(self.shape))
-        if self.norm == 2:
-            g = rng.standard_normal((n, flat))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            r = self.radius * rng.uniform(size=(n, 1)) ** (1.0 / flat)
-            pts = g * r
-        else:
+        g = rng.standard_normal((n, flat))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        r = self.radius * rng.uniform(size=(n, 1)) ** (1.0 / flat)
+        pts = g * r
+        if self.norm == 1:
             # rejection-free: sample in the circumscribed 2-ball, project in
-            g = rng.standard_normal((n, flat))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            r = self.radius * rng.uniform(size=(n, 1)) ** (1.0 / flat)
-            pts = np.stack([_project_l1_ball(row, self.radius) for row in g * r])
+            pts = np.stack([_project_l1_ball(row, self.radius) for row in pts])
         return pts.reshape((n,) + self.shape) + self.center
 
     def __repr__(self):
@@ -278,29 +274,28 @@ class DoublingStep(StepSchedule):
         self.growth = float(growth)
         self.scale = float(scale)
 
-    def segment_length(self, t):
-        t = self._check_t(t)
-        seg_len = self.horizon0
-        cum = self.horizon0
-        while t > cum:
+    def _segments(self, T):
+        """(last round, length) of each segment, up to the one holding round T."""
+        seg_len = end = self.horizon0
+        while True:
+            yield math.floor(end), seg_len
+            if end >= T:
+                return
             seg_len *= self.growth
-            cum += seg_len
-        return seg_len
+            end += seg_len
 
     def eta(self, t):
-        return self.scale / math.sqrt(self.segment_length(t))
+        for _, seg_len in self._segments(self._check_t(t)):
+            pass  # the last segment walked holds t
+        return self.scale / math.sqrt(seg_len)
 
     def etas(self, T):
         T = self._check_t(T)
         out = np.empty(T)
-        seg_len = self.horizon0
-        lo, hi = 1, self.horizon0
-        while lo <= T:
-            top = min(T, math.floor(hi))
-            out[lo - 1:top] = self.scale / math.sqrt(seg_len)
-            lo = top + 1
-            seg_len *= self.growth
-            hi += seg_len
+        lo = 0
+        for end, seg_len in self._segments(T):
+            out[lo:end] = self.scale / math.sqrt(seg_len)
+            lo = end
         return out
 
     def __repr__(self):
@@ -330,6 +325,11 @@ class BoundConstants:
     def from_samples(cls, geom, subgrad_norms, point_norms, divergences):
         """The constants of geom from sampled subgradient norms, point norms
         and divergences (any nonempty array-likes)."""
+        for name, sample in (("subgrad_norms", subgrad_norms),
+                             ("point_norms", point_norms),
+                             ("divergences", divergences)):
+            if np.size(sample) == 0:
+                raise ValueError(f"{name} is an empty sample")
         return cls(g_ell=float(np.max(subgrad_norms)),
                    big_m=geom.scale * float(np.max(point_norms)),
                    d_max=float(np.max(divergences)), sigma=geom.sigma)

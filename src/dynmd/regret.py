@@ -110,6 +110,19 @@ def _segmented_min(cost, n_segments):
     return value, bounds, cols
 
 
+def _best_switching(cost, m):
+    """_segmented_min of a (T, N) cost over m + 1 segments, for an integer
+    0 <= m < T.  Returns (value, segment bounds, column per segment,
+    switch times: the first step of segments 2..m+1)."""
+    T = cost.shape[0]
+    if int(m) != m or m < 0:
+        raise ValueError(f"m must be an integer >= 0, got {m}")
+    if m >= T:
+        raise ValueError(f"m must be < T, got m={m}, T={T}")
+    value, bounds, cols = _segmented_min(cost, m + 1)
+    return value, bounds, tuple(cols), tuple(start for start, _ in bounds[1:])
+
+
 @dataclass(frozen=True)
 class SegmentationResult:
     """Best m-switch assignment of models to contiguous time segments."""
@@ -130,22 +143,16 @@ def best_segmentation(comparator, models, m):
     after one model_deviations pass.  On ties it reports the lowest-index
     final model, and each segment starts as early as the later ones allow.
     """
-    pts = path_points(comparator)
-    T = pts.shape[0] - 1
-    if int(m) != m or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m}")
-    if m >= T:
-        raise ValueError(f"m must be < T, got m={m}, T={T}")
-    cost = model_deviations(pts, models)
-    value, bounds, cols = _segmented_min(cost, m + 1)
+    cost = model_deviations(path_points(comparator), models)
+    value, bounds, cols, switch_times = _best_switching(cost, m)
     segments = tuple(
         (start, end, col, float(cost[start - 1:end, col].sum()))
         for (start, end), col in zip(bounds, cols))
     return SegmentationResult(
         m=int(m),
         total_deviation=value,
-        switch_times=tuple(start for start, _ in bounds[1:]),
-        model_indices=tuple(cols),
+        switch_times=switch_times,
+        model_indices=cols,
         segments=segments)
 
 
@@ -199,17 +206,12 @@ def tracking_decomposition_from_losses(dfs_losses, expert_losses, comparator_los
     T = dfs_losses.shape[0]
     if expert_losses.shape[0] != T or comparator_losses.shape[0] != T:
         raise ValueError("loss traces must share the horizon")
-    if int(m) != m or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m}")
-    if m >= T:
-        raise ValueError(f"m must be < T, got m={m}, T={T}")
-    best, bounds, cols = _segmented_min(expert_losses, m + 1)
+    best, _, cols, switch_times = _best_switching(expert_losses, m)
     t1 = float(dfs_losses.sum() - best)
     t2 = float(best - comparator_losses.sum())
     return TrackingDecomposition(
         t1=t1, t2=t2, total=t1 + t2, best_sequence_loss=best,
-        switch_times=tuple(start for start, _ in bounds[1:]),
-        expert_indices=tuple(cols))
+        switch_times=switch_times, expert_indices=cols)
 
 
 def fixed_share_bound(n_experts, m, T, eta_r, lam):

@@ -51,6 +51,19 @@ def test_run_video_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run-video", "run-votes"])
+def test_pool_commands_reject_window(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window=30\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--window", "30", "--out", str(out)])
+    assert exc.value.code == 2
+
+
 def test_run_votes_synthetic(tmp_path, capsys):
     out = tmp_path / "vv"
     assert main(["run-votes", "--agents", "6", "--t", "30", "--sweeps", "2",

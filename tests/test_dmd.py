@@ -337,14 +337,9 @@ def test_iterates_stay_feasible():
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_clock_mismatch_and_nonfinite_errors():
+def test_nonfinite_step_error_names_round():
     geom = SquaredEuclidean(1.0)
     fset = Unconstrained(2)
-    state = dmd_init(geom, fset, IdentityModel(), ConstantStep(0.1))
-    loss = least_squares(np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        dmd_step(state, loss, t=5)
-    bad = least_squares(np.eye(2), np.zeros(2))
     state_far = dmd_init(geom, fset, IdentityModel(), ConstantStep(0.1),
                          theta0=np.array([1e200, 0.0]))
     huge = least_squares(np.full((1, 2), 1e200), np.zeros(1))

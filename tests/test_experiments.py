@@ -11,6 +11,8 @@ from dynmd import (
     Box,
     ConstantStep,
     DoublingStep,
+    IdentityModel,
+    NetworkAttraction,
     PixelShift,
     SquaredEuclidean,
     dmd_init,
@@ -39,6 +41,7 @@ from dynmd.experiments import (
 )
 from dynmd.experiments import video as video_module
 from dynmd.experiments import votes as votes_module
+from dynmd.experiments.runner import _write_csv
 from dynmd.experiments.video import _sensing_matrix
 
 
@@ -53,7 +56,7 @@ def small_scenario(**kw):
 def test_identity_sensing_noiseless_observes_frames():
     data = generate_video(small_scenario(identity_sensing=True, noise_std=0.0))
     for t in range(1, data.T + 1):
-        assert np.array_equal(data.observation(t), data.frames[t - 1])
+        assert np.array_equal(data.loss(t).f.x, data.frames[t - 1])
         assert np.array_equal(data.matrix(t), np.eye(data.n_pixels))
 
 
@@ -61,7 +64,8 @@ def test_observation_noise_energy():
     data = generate_video(small_scenario(T=40, measurements=200, noise_std=0.3))
     sq = []
     for t in range(1, data.T + 1):
-        resid = data.observation(t) - data.matrix(t) @ data.frames[t - 1]
+        f = data.loss(t).f
+        resid = f.x - f.A @ data.frames[t - 1]
         sq.append(resid @ resid / resid.size)
     assert np.mean(sq) == pytest.approx(0.09, rel=0.15)
 
@@ -99,17 +103,18 @@ def test_video_generation_is_reproducible():
     a = generate_video(small_scenario(T=6))
     b = generate_video(small_scenario(T=6))
     assert np.array_equal(a.frames, b.frames)
-    assert all(np.array_equal(a.observation(t), b.observation(t))
+    assert all(np.array_equal(a.loss(t).f.x, b.loss(t).f.x)
                for t in range(1, 7))
     assert np.array_equal(a.matrix(4), b.matrix(4))
     c = generate_video(small_scenario(T=6, seed=8))
-    assert not all(np.array_equal(a.observation(t), c.observation(t))
+    assert not all(np.array_equal(a.loss(t).f.x, c.loss(t).f.x)
                    for t in range(1, 7))
 
 
 def test_video_tau_default_and_comparator():
     data = generate_video(small_scenario())
-    want = 0.01 * np.abs(data.matrix(1).T @ data.observation(1)).max()
+    f = data.loss(1).f
+    want = 0.01 * np.abs(f.A.T @ f.x).max()
     assert data.tau_default == pytest.approx(want, rel=1e-12)
     comp = data.comparator()
     assert len(comp) == data.T + 1
@@ -166,8 +171,6 @@ def test_lazy_video_loss_matches_eager_construction(kw):
             assert np.array_equal(loss.f.A.view(np.uint64),
                                   _sensing_matrix(scenario, t).view(np.uint64))
             assert np.array_equal(loss.f.x.view(np.uint64), x.view(np.uint64))
-            assert np.array_equal(data.observation(t).view(np.uint64),
-                                  x.view(np.uint64))
     A1, x1 = pairs[0]
     assert data.tau_default == 0.01 * float(np.abs(A1.T @ x1).max())
 
@@ -331,7 +334,9 @@ def test_synthetic_votes_properties():
     stream, thetas = synthetic_votes(n_agents=6, T=30, drift_alpha=0.05,
                                      seed=11, sweeps=2)
     assert stream.votes.shape == (30, 6)
-    assert thetas.shape == (30, 6, 6)
+    assert thetas.shape == (31, 6, 6)
+    # the path closes with the drift step after the last round
+    assert np.array_equal(thetas[30], NetworkAttraction(0.05).apply(thetas[29]))
     assert np.isin(stream.votes, (-1, 1)).all()  # no missing votes requested
     assert np.all(np.abs(thetas) <= 1.0)
     # the hidden matrix actually drifts
@@ -555,19 +560,38 @@ def test_read_losses_csv_errors(tmp_path):
         read_losses_csv(path)
 
 
+def test_csv_writer_matches_per_value_format(tmp_path):
+    # reference: the round column as an integer, every other value
+    # formatted on its own with "{:.12g}"
+    values = np.array([0.1, -0.0, 0.0, np.nan, np.inf, -np.inf, 1e300,
+                       -2.5e-310, 1.0 / 3.0, 123456789012345.0])
+    data = [np.arange(1, values.size + 1), values, values[::-1]]
+    path = tmp_path / "x.csv"
+    _write_csv(path, ["t", "a", "b"], data)
+    want = "t,a,b\n" + "".join(
+        f"{t},{a:.12g},{b:.12g}\n" for t, a, b in zip(*data))
+    assert path.read_bytes() == want.encode()
+
+
 def test_agent_values_collection():
+    # a vote stream scores each agent, so its runs record agent values
     stream, _ = synthetic_votes(n_agents=5, T=10, drift_alpha=0.0, seed=2,
                                 sweeps=1)
     geom = SquaredEuclidean(0.5)
     fset = Box(-1.0, 1.0, shape=(5, 5))
-    from dynmd import NetworkAttraction
     experts = [dmd_init(geom, fset, NetworkAttraction(a), ConstantStep(0.2))
                for a in (0.0, 0.01)]
     result = run_scenario(lambda t: stream.loss(t, tau=0.05), stream.T,
-                          experts, lam=0.1, collect_agent_values=True)
+                          experts, lam=0.1)
     assert result.agent_values.shape == (10, 5)
     # per-agent pieces of the aggregate's fit sum to a full loss value
     assert np.all(result.agent_values >= 0.0)
+    # a least-squares stream does not, so its runs record none
+    data = generate_video(small_scenario(T=4))
+    fset = Box(0.0, 1.0, shape=(data.n_pixels,))
+    experts = [dmd_init(geom, fset, IdentityModel(), ConstantStep(0.2))]
+    result = run_scenario(data.loss, data.T, experts, lam=0.1)
+    assert result.agent_values is None
 
 
 def test_config_parsing_and_merge(tmp_path):

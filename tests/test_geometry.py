@@ -203,6 +203,33 @@ def test_doubling_etas_vector_matches_scalar():
             assert vec[t - 1] == pytest.approx(sched.eta(t), rel=1e-15)
 
 
+def _doubling_reference(h0, growth, scale, T):
+    # eta(t) of every round t <= T by the per-round segment walk: segment k
+    # has length h0 * growth^k and ends at the running sum of the lengths
+    seg_len = cum = float(h0)
+    out = np.empty(T)
+    for t in range(1, T + 1):
+        while t > cum:
+            seg_len *= growth
+            cum += seg_len
+        out[t - 1] = scale / math.sqrt(seg_len)
+    return out
+
+
+def test_doubling_schedule_matches_segment_walk_reference():
+    T = 3000
+    sample = sorted(set(range(1, 65)) | set(range(65, T + 1, 37)) | {T})
+    for h0 in (1, 1.5, 2, 7, 10, 32, 2999.5):
+        for growth in (1, 1.25, 2, 3.7, 10):
+            for scale in (0.5, 1.0, 2.3):
+                sched = DoublingStep(h0, growth, scale)
+                want = _doubling_reference(h0, growth, scale, T)
+                case = (h0, growth, scale)
+                assert np.array_equal(sched.etas(T), want), case
+                got = np.array([sched.eta(t) for t in sample])
+                assert np.array_equal(got, want[np.array(sample) - 1]), case
+
+
 def test_schedule_positive_and_non_increasing():
     for sched in (ConstantStep(0.3), DoublingStep(1, 2, 1.0), DoublingStep(10, 10, 1.0)):
         etas = sched.etas(500)
@@ -280,5 +307,6 @@ def test_bound_constants_reject_empty_samples():
     for empty in range(3):
         samples = [[1.0], [1.0], [1.0]]
         samples[empty] = []
-        with pytest.raises(ValueError):
+        name = ("subgrad_norms", "point_norms", "divergences")[empty]
+        with pytest.raises(ValueError, match=f"^{name} is an empty sample$"):
             BoundConstants.from_samples(geom, *samples)
