@@ -22,14 +22,14 @@ t % reg_period == 0 (reg_period = 1 means every step).  COMID is the
 special case Phi = identity with reg_period = 1.
 
 A pool of trackers on one loss stream steps together: advance(plan, ...)
-takes (N, *shape) stacks of predictions and gradients, runs the gradient
-step, soft threshold and projection once per StepPlan group, applies the
+takes (N, *shape) stacks of predictions and gradients, runs one gradient
+step, soft threshold and projection on the whole stack, applies the
 models by one ModelStack call and returns the (theta_tilde, theta_hat)
-stacks.  dmd_step is the N = 1 case of that step, and every row of a pool
-step is computed with the same elementwise arithmetic as a lone step.
+stacks.  The rows differ only in their models (StepPlan checks this).
+dmd_step is the N = 1 case of that step, and every row of a pool step is
+computed with the same elementwise arithmetic as a lone step.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,38 +71,32 @@ def comid_init(geom, fset, schedule, theta0=None):
     return dmd_init(geom, fset, IdentityModel(), schedule, reg_period=1, theta0=theta0)
 
 
-ExpertSpec = namedtuple("ExpertSpec", "geom fset model schedule reg_period")
-StepGroup = namedtuple("StepGroup", "geom fset schedule reg_period rows names")
-
-
 class StepPlan:
-    """How a pool of DMD states takes its stacked step.
-
-    specs[i] holds state i's parts other than its iterates and clock, in
-    DmdState field order.  The rows that share geometry, feasible set,
-    schedule and reg_period step as one group; the models are applied by
-    one ModelStack.  A plan built once serves every round.
+    """How a pool of DMD states takes its stacked step.  The states share
+    the same geometry, feasible set and schedule objects and one reg_period
+    (else ValueError names the first expert and part that differ); the plan
+    holds those, the experts' names and one ModelStack of their models, and
+    serves every round.
     """
 
     def __init__(self, states):
         states = tuple(states)
-        self.specs = tuple(ExpertSpec(s.geom, s.fset, s.model, s.schedule,
-                                      s.reg_period) for s in states)
+        first = states[0]
         self.names = tuple(f"expert {i} ({s.model.label})"
                            for i, s in enumerate(states))
-        members = {}
-        for i, s in enumerate(self.specs):
-            key = (id(s.geom), id(s.fset), id(s.schedule), s.reg_period)
-            members.setdefault(key, []).append(i)
-        groups = []
-        for idx in members.values():
-            s = self.specs[idx[0]]
-            rows = slice(None) if len(members) == 1 else np.array(idx)
-            groups.append(StepGroup(s.geom, s.fset, s.schedule, s.reg_period,
-                                    rows, tuple(self.names[i] for i in idx)))
-        self.groups = tuple(groups)
-        self.models = ModelStack([s.model for s in states],
-                                 states[0].theta_hat.shape)
+        for name, s in zip(self.names[1:], states[1:]):
+            shared = {"geom": s.geom is first.geom, "fset": s.fset is first.fset,
+                      "schedule": s.schedule is first.schedule,
+                      "reg_period": s.reg_period == first.reg_period}
+            for part, same in shared.items():
+                if not same:
+                    raise ValueError(f"{name} does not share expert 0's {part}: "
+                                     "a pool's experts differ only in their models")
+        self.geom = first.geom
+        self.fset = first.fset
+        self.schedule = first.schedule
+        self.reg_period = first.reg_period
+        self.models = ModelStack([s.model for s in states], first.theta_hat.shape)
 
 
 def require_finite(stack, layer, t, names):
@@ -114,21 +108,6 @@ def require_finite(stack, layer, t, names):
             f"non-finite {layer} at round t={t}, {names[int(np.argmin(ok))]}")
 
 
-def _theta_tildes(group, loss, thetas, grads, t):
-    """Mirror-step targets of the stacked predictions of one group's rows."""
-    kappa = group.schedule.eta(t) / (2.0 * group.geom.scale)
-    v = thetas - kappa * grads
-    require_finite(v, "step", t, group.names)
-    if t % group.reg_period == 0 and loss.r.tau > 0.0:
-        # exact on boxes and centred balls; see module docstring
-        if isinstance(group.fset, Ball) and np.any(group.fset.center):
-            raise ValueError(
-                f"prox on an off-centre ball at round t={t}, {group.names[0]}: "
-                "project(soft_threshold(v)) is exact only for balls centred at 0")
-        v = loss.prox_r(v, kappa)
-    return group.fset.project_stack(v)
-
-
 def advance(plan, loss, thetas, grads, t):
     """One DMD step of every row on the round-t loss.
 
@@ -138,9 +117,17 @@ def advance(plan, loss, thetas, grads, t):
     naming the round, expert and layer.
     """
     require_finite(grads, "gradient", t, plan.names)
-    tildes = np.empty_like(thetas)
-    for g in plan.groups:
-        tildes[g.rows] = _theta_tildes(g, loss, thetas[g.rows], grads[g.rows], t)
+    kappa = plan.schedule.eta(t) / (2.0 * plan.geom.scale)
+    v = thetas - kappa * grads
+    require_finite(v, "step", t, plan.names)
+    if t % plan.reg_period == 0 and loss.r.tau > 0.0:
+        # exact on boxes and centred balls; see module docstring
+        if isinstance(plan.fset, Ball) and np.any(plan.fset.center):
+            raise ValueError(
+                f"prox on an off-centre ball at round t={t}, {plan.names[0]}: "
+                "project(soft_threshold(v)) is exact only for balls centred at 0")
+        v = loss.prox_r(v, kappa)
+    tildes = plan.fset.project_stack(v)
     return tildes, plan.models.apply(tildes)
 
 

@@ -60,12 +60,15 @@ class ScenarioResult:
 def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
     """Drive a fixed-share pool for T rounds.
 
-    losses: callable t -> composite loss (1-based).  experts: fresh DMD
-    states, one per dynamical model.  eta_r defaults to 1/sqrt(T).
-    comparator, when given, must hold T + 1 points; its scalar traces feed
-    the bound evaluation later.  When loss.f scores each agent
+    losses: callable t -> composite loss (1-based); T is an integer >= 1.
+    experts: fresh DMD states of one pool, one per dynamical model.  eta_r
+    defaults to 1/sqrt(T).  comparator, when given, must hold T + 1 finite
+    points of the experts' shape; its scalar traces feed the bound
+    evaluation later.  When loss.f scores each agent
     (per_agent_values), the aggregate's per-agent values are recorded.
     """
+    if not isinstance(T, (int, np.integer)) or T < 1:
+        raise ValueError(f"T must be an integer >= 1, got {T!r}")
     experts = list(experts)
     n = len(experts)
     if eta_r is None:
@@ -77,6 +80,11 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
         if pts.shape[0] != T + 1:
             raise ValueError(
                 f"comparator must hold {T + 1} points, got {pts.shape[0]}")
+        if pts.shape[1:] != state.theta_hat.shape[1:]:
+            raise ValueError(f"comparator points have shape {pts.shape[1:]}, "
+                             f"the experts' have {state.theta_hat.shape[1:]}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("comparator contains non-finite points")
     labels = tuple(e.model.label for e in experts)
     weights = np.empty((T, n))
     expert_losses = np.empty((T, n))
@@ -101,8 +109,7 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
             comp_losses[t - 1] = values[n]
             comp_subgrad[t - 1] = point_subgrad_norms[n]
             comp_norms[t - 1] = np.linalg.norm(np.ravel(comp))
-            for g in state.plan.groups:
-                comp_div[t - 1, g.rows] = g.geom.divergences(comp, preds[g.rows])
+            comp_div[t - 1] = state.plan.geom.divergences(comp, preds)
         state, aggregated, losses_t = dfs_step(
             state, loss, evaluated=(values[:n], grads[:n]))
         weights[t - 1] = state.weights
@@ -139,27 +146,26 @@ class RunEvaluation:
 
 def evaluate_run(result, m=0):
     """Regret curves, run-sampled bound curves, and the m-switch tracking
-    decomposition for a run recorded against a comparator.  Each expert's
-    model, geometry and schedule come from the run's plan."""
+    decomposition for a run recorded against a comparator.  The models and
+    the pool's one geometry and schedule come from the run's plan."""
     if result.comparator_losses is None:
         raise ValueError("the run was recorded without a comparator")
     T, n = result.expert_losses.shape
     diffs = result.expert_losses - result.comparator_losses[:, None]
     expert_regret = np.cumsum(diffs, axis=0)
     dfs_regret = np.cumsum(result.dfs_losses - result.comparator_losses)
-    specs = result.final_state.plan.specs
-    deviations = model_deviations(result.comparator_points,
-                                  [spec.model for spec in specs])
+    plan = result.final_state.plan
+    deviations = model_deviations(result.comparator_points, plan.models.models)
     constants = []
     curves = np.empty((T, n))
-    for i, spec in enumerate(specs):
+    for i in range(n):
         consts = BoundConstants.from_samples(
-            spec.geom,
+            plan.geom,
             (result.subgrad_norms[:, i].max(), result.comparator_subgrad_norms.max()),
             (result.pred_norms[:, i].max(), result.comparator_norms.max()),
             result.comparator_divergences[:, i])
         constants.append(consts)
-        curves[:, i] = theorem2_curve(consts, spec.schedule, deviations[:, i])
+        curves[:, i] = theorem2_curve(consts, plan.schedule, deviations[:, i])
     decomposition = tracking_decomposition_from_losses(
         result.dfs_losses, result.expert_losses, result.comparator_losses, m)
     return RunEvaluation(

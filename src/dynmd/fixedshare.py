@@ -7,11 +7,13 @@ Round t, expert predictions theta_i made before the round's data arrives:
     w        = w' / sum(w')                                 (normalize)
     output   = sum_i w_i theta_i                            (aggregate)
 
-then every expert advances one DMD step on the same loss.  The loss update
-runs in log space with max subtraction, so 10^4-scale losses cannot
-underflow the weight vector.  After the share step every normalized weight
-is at least lam / N.  The aggregated prediction is invariant to positive
-rescaling of the weights.
+then every expert advances one DMD step on the same loss.  The experts
+differ only in their models: they share one geometry, feasible set,
+schedule and reg_period (dmd.StepPlan).  The loss update runs in log space
+with max subtraction, so 10^4-scale losses cannot underflow the weight
+vector.  After the share step every normalized weight is at least lam / N.
+The aggregated prediction is invariant to positive rescaling of the
+weights.
 
 The pool owns its iterates as (N, *shape) stacks theta_hat and theta_tilde;
 state.experts builds read-only DmdState views of their rows on demand.  A
@@ -45,8 +47,10 @@ class FixedShareState:
     def experts(self):
         """DmdState of every expert at round t; its arrays are rows of the
         stacks and must not be written."""
-        return tuple(DmdState(hat, tilde, self.t, *spec) for hat, tilde, spec
-                     in zip(self.theta_hat, self.theta_tilde, self.plan.specs))
+        p = self.plan
+        return tuple(DmdState(hat, tilde, self.t, p.geom, p.fset, model,
+                              p.schedule, p.reg_period) for hat, tilde, model
+                     in zip(self.theta_hat, self.theta_tilde, p.models.models))
 
 
 def default_lambda(m, T):
@@ -69,14 +73,13 @@ def fixed_share_init(experts, lam, eta_r):
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
     if not (0.0 < eta_r < np.inf):
         raise ValueError(f"eta_r must be positive and finite, got {eta_r}")
-    if len({e.theta_hat.shape for e in experts}) > 1:
-        raise ValueError("experts must share one parameter shape")
+    plan = StepPlan(experts)  # a shared feasible set means a shared shape
     n = len(experts)
     return FixedShareState(weights=np.full(n, 1.0 / n), eta_r=float(eta_r),
                            lam=float(lam),
                            theta_hat=np.stack([e.theta_hat for e in experts]),
                            theta_tilde=np.stack([e.theta_tilde for e in experts]),
-                           t=1, plan=StepPlan(experts))
+                           t=1, plan=plan)
 
 
 def dfs_step(state, loss, evaluated=None):

@@ -285,7 +285,10 @@ class DoublingStep(StepSchedule):
             end += seg_len
 
     def eta(self, t):
-        for _, seg_len in self._segments(self._check_t(t)):
+        t = self._check_t(t)
+        if self.growth == 1.0:  # every segment is horizon0 long
+            return self.scale / math.sqrt(self.horizon0)
+        for _, seg_len in self._segments(t):
             pass  # the last segment walked holds t
         return self.scale / math.sqrt(seg_len)
 

@@ -140,20 +140,17 @@ def test_comid_step_rejects_non_static_states():
 
 
 def test_advance_returns_stacks_matching_lone_steps():
-    # two groups (schedule and reg_period differ): one advance on the stacks
-    # gives every row of a lone dmd_step, bit for bit
+    # one advance on the stacks gives every row of a lone dmd_step, bit for bit
     rng = np.random.default_rng(73)
     geom = SquaredEuclidean(1.0)
     fset = Box(0.0, 1.0, shape=9)
-    fast, slow = ConstantStep(0.4), DoublingStep(2, 2, 0.3)
-    specs = [(PixelShift(0, 3, 3), fast, 1), (IdentityModel(), slow, 2),
-             (PixelShift(4, 3, 3), fast, 1)]
-    states = [dmd_init(geom, fset, m, sched, reg_period=k,
-                       theta0=rng.uniform(size=9)) for m, sched, k in specs]
+    sched = DoublingStep(2, 2, 0.3)
+    models = (PixelShift(0, 3, 3), IdentityModel(), PixelShift(4, 3, 3))
+    states = [dmd_init(geom, fset, m, sched, reg_period=2,
+                       theta0=rng.uniform(size=9)) for m in models]
     plan = StepPlan(states)
-    assert len(plan.groups) == 2
     thetas = np.stack([s.theta_hat for s in states])
-    for t in (1, 2):  # round 1 skips the reg_period=2 group's prox, round 2 not
+    for t in (1, 2):  # reg_period=2: round 1 skips the prox, round 2 applies it
         loss = least_squares(rng.normal(size=(5, 9)), rng.normal(size=5), tau=0.1)
         grads = np.stack([loss.f_gradient(s.theta_hat) for s in states])
         tilde, hat = advance(plan, loss, thetas, grads, t)

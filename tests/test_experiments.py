@@ -15,8 +15,10 @@ from dynmd import (
     NetworkAttraction,
     PixelShift,
     SquaredEuclidean,
+    Unconstrained,
     dmd_init,
     dmd_step,
+    least_squares,
     shift_family,
     vote_pseudolikelihood,
 )
@@ -475,7 +477,8 @@ def test_run_scenario_traces_and_validation():
     geom = SquaredEuclidean(1.0)
     fset = Box(0.0, 1.0, shape=(data.n_pixels,))
     models = shift_family(8, 8)
-    experts = [dmd_init(geom, fset, m, ConstantStep(0.3)) for m in models]
+    sched = ConstantStep(0.3)
+    experts = [dmd_init(geom, fset, m, sched) for m in models]
     result = run_scenario(data.loss, data.T, experts, lam=0.1,
                           comparator=data.comparator())
     assert result.expert_labels == ("E", "NE", "N", "NW", "W", "SW", "S",
@@ -491,6 +494,23 @@ def test_run_scenario_traces_and_validation():
     assert np.all(result.comparator_divergences >= 0.0)
     with pytest.raises(ValueError):
         run_scenario(data.loss, data.T, experts, comparator=data.frames[:4])
+
+
+@pytest.mark.parametrize("T, comparator, message", [
+    (0, None, r"T must be an integer >= 1, got 0"),
+    (-1, None, r"T must be an integer >= 1, got -1"),
+    (2.5, None, r"T must be an integer >= 1, got 2\.5"),
+    (3, np.zeros((4, 3, 4)),
+     r"comparator points have shape \(3, 4\), the experts' have \(3,\)"),
+    (3, np.where(np.arange(12).reshape(4, 3) == 7, np.nan, 0.0),
+     r"comparator contains non-finite points"),
+])
+def test_run_scenario_rejects_bad_inputs(T, comparator, message):
+    expert = dmd_init(SquaredEuclidean(1.0), Unconstrained(3), IdentityModel(),
+                      ConstantStep(0.1))
+    loss = least_squares(np.eye(3), np.ones(3))
+    with pytest.raises(ValueError, match=message):
+        run_scenario(lambda t: loss, T, [expert], comparator=comparator)
 
 
 def test_evaluate_run_matching_model_bound_holds():
@@ -524,7 +544,8 @@ def test_csv_writers_roundtrip(tmp_path):
     geom = SquaredEuclidean(1.0)
     fset = Box(0.0, 1.0, shape=(data.n_pixels,))
     models = shift_family(8, 8)[:3]
-    experts = [dmd_init(geom, fset, m, ConstantStep(0.3)) for m in models]
+    sched = ConstantStep(0.3)
+    experts = [dmd_init(geom, fset, m, sched) for m in models]
     result = run_scenario(data.loss, data.T, experts, lam=0.1,
                           comparator=data.comparator())
     losses_path = tmp_path / "losses.csv"
@@ -579,7 +600,8 @@ def test_agent_values_collection():
                                 sweeps=1)
     geom = SquaredEuclidean(0.5)
     fset = Box(-1.0, 1.0, shape=(5, 5))
-    experts = [dmd_init(geom, fset, NetworkAttraction(a), ConstantStep(0.2))
+    sched = ConstantStep(0.2)
+    experts = [dmd_init(geom, fset, NetworkAttraction(a), sched)
                for a in (0.0, 0.01)]
     result = run_scenario(lambda t: stream.loss(t, tau=0.05), stream.T,
                           experts, lam=0.1)
@@ -589,7 +611,7 @@ def test_agent_values_collection():
     # a least-squares stream does not, so its runs record none
     data = generate_video(small_scenario(T=4))
     fset = Box(0.0, 1.0, shape=(data.n_pixels,))
-    experts = [dmd_init(geom, fset, IdentityModel(), ConstantStep(0.2))]
+    experts = [dmd_init(geom, fset, IdentityModel(), sched)]
     result = run_scenario(data.loss, data.T, experts, lam=0.1)
     assert result.agent_values is None
 

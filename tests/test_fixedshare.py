@@ -77,8 +77,9 @@ def test_matches_linear_space_oracle():
     geom = SquaredEuclidean(1.0)
     fset = Box(-1.0, 1.0, shape=3)
     theta0s = [fset.sample(rng, 1)[0] for _ in range(4)]
-    experts = [dmd_init(geom, fset, IdentityModel(), ConstantStep(0.3),
-                        theta0=th) for th in theta0s]
+    sched = ConstantStep(0.3)
+    experts = [dmd_init(geom, fset, IdentityModel(), sched, theta0=th)
+               for th in theta0s]
     lam, eta_r = 0.05, 0.8
     state = fixed_share_init(experts, lam=lam, eta_r=eta_r)
     w = state.weights.copy()
@@ -110,10 +111,9 @@ def test_experts_are_read_only_views_of_the_stacks():
     rng = np.random.default_rng(71)
     geom = SquaredEuclidean(0.5)
     fset = Box(-1.0, 1.0, shape=6)
-    fast, slow = ConstantStep(0.4), DoublingStep(2, 2, 0.3)
-    experts = [dmd_init(geom, fset, PixelShift(0, 2, 3), fast),
-               dmd_init(geom, fset, IdentityModel(), slow, reg_period=2),
-               dmd_init(geom, fset, PixelShift(4, 2, 3), fast)]
+    sched = DoublingStep(2, 2, 0.3)
+    experts = [dmd_init(geom, fset, m, sched, reg_period=2)
+               for m in (PixelShift(0, 2, 3), IdentityModel(), PixelShift(4, 2, 3))]
     state = fixed_share_init(experts, lam=0.1, eta_r=1.0)
     assert "experts" not in {f.name for f in dataclasses.fields(state)}
     for _ in range(2):
@@ -121,16 +121,33 @@ def test_experts_are_read_only_views_of_the_stacks():
         state, _, _ = dfs_step(state, loss)
     views = state.experts
     assert len(views) == 3
-    for i, (view, spec, orig) in enumerate(zip(views, state.plan.specs, experts)):
+    for i, (view, orig) in enumerate(zip(views, experts)):
         for part in ("geom", "fset", "model", "schedule"):
-            assert getattr(view, part) is getattr(spec, part) is getattr(orig, part)
-        assert view.reg_period == spec.reg_period == orig.reg_period
+            assert getattr(view, part) is getattr(orig, part)
+        assert view.reg_period == orig.reg_period == 2
         assert view.t == state.t == 3
         assert np.array_equal(view.theta_hat, state.theta_hat[i])
         assert np.array_equal(view.theta_tilde, state.theta_tilde[i])
         assert np.shares_memory(view.theta_hat, state.theta_hat)
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.experts = views
+
+
+@pytest.mark.parametrize("part", ["geom", "fset", "schedule", "reg_period"])
+def test_pool_rejects_experts_with_other_parts(part):
+    # a pool's experts differ only in their models; equal values in other
+    # objects are other parts, because sameness is by identity
+    shared = {"geom": SquaredEuclidean(1.0), "fset": Box(-1.0, 1.0, shape=2),
+              "schedule": ConstantStep(0.5), "reg_period": 1}
+    other = {"geom": SquaredEuclidean(1.0), "fset": Box(-1.0, 1.0, shape=2),
+             "schedule": ConstantStep(0.5), "reg_period": 2}
+    experts = [dmd_init(model=m, **shared)
+               for m in (IdentityModel(), PixelShift(0, 1, 2))]
+    experts.append(dmd_init(model=PixelShift(4, 1, 2),
+                            **{**shared, part: other[part]}))
+    with pytest.raises(ValueError,
+                       match=rf"expert 2 \(W\) does not share expert 0's {part}"):
+        fixed_share_init(experts, lam=0.1, eta_r=1.0)
 
 
 def test_single_expert_reduces_to_plain_dmd():
@@ -295,7 +312,6 @@ def pools(draw):
         "reg_period": draw(st.integers(1, 3)),
         "tau": draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
         "scale": draw(st.sampled_from([0.5, 1.0, 2.0])),
-        "shared_schedule": draw(st.booleans()),
         "rounds": draw(st.integers(1, 4)),
         "lam": draw(st.floats(0.0, 1.0)),
         "eta_r": draw(st.floats(0.01, 3.0)),
@@ -329,10 +345,9 @@ def build_pool(spec):
     else:
         fset = Unconstrained(shape)
     geom = SquaredEuclidean(spec["scale"])
-    shared = DoublingStep(2, 2.0, rng.uniform(0.1, 1.0))
+    sched = DoublingStep(2, 2.0, rng.uniform(0.1, 1.0))
     experts = []
     for model in models:
-        sched = shared if spec["shared_schedule"] else ConstantStep(rng.uniform(0.05, 1.0))
         theta0 = fset.project(rng.uniform(-1.0, 1.0, size=shape))
         experts.append(dmd_init(geom, fset, model, sched,
                                 reg_period=spec["reg_period"], theta0=theta0))

@@ -228,6 +228,8 @@ def test_doubling_schedule_matches_segment_walk_reference():
                 assert np.array_equal(sched.etas(T), want), case
                 got = np.array([sched.eta(t) for t in sample])
                 assert np.array_equal(got, want[np.array(sample) - 1]), case
+    # growth 1: every segment is horizon0 long, so no walk to round 10^7
+    assert DoublingStep(1, 1.0, 1.0).eta(10 ** 7) == 1.0
 
 
 def test_schedule_positive_and_non_increasing():
