@@ -6,6 +6,7 @@ to feasible points for the sets they are used with (shifts preserve boxes
 containing 0, the attraction map preserves [-1, 1] entrywise).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,8 +114,11 @@ class NetworkAttraction(DynamicalModel):
     |theta_ab| the entry moves to (1 - alpha) theta_ab + alpha theta_ac* *
     theta_bc*; otherwise it is unchanged.  alpha = 0 is exactly the
     identity.  Cost is O(p^3) memory and time per application.  The search
-    for c* does not depend on alpha, so ModelStack runs it once for all
-    the attraction models it holds.
+    for c* does not depend on alpha: _attraction_targets runs it over the
+    [c, (a, b)] score layout, and ModelStack runs it once for all the
+    attraction models it holds.  A NaN candidate score wins the search (the
+    lowest-index one), and since NaN > |theta_ab| is false the entry is
+    then unchanged.
     """
 
     def __init__(self, alpha):
@@ -148,23 +152,53 @@ def _attraction_targets(thetas):
     c* the lowest-index maximizer of |theta_ac| |theta_bc| over c not in
     {a, b}, top is that score and best the signed product theta_ac*
     theta_bc*.  |x y| = |x| |y| holds exactly in floating point, so this
-    is the same c* as a search over |theta_ac theta_bc|.  The score tensor
-    takes B p^3 floats.
+    is the same c* as a search over |theta_ac theta_bc|.
+
+    The scores are laid out [c, (k, a, b)], so that every pass over them
+    (the max over c, the tie search and its max) runs along rows of B p^2
+    entries rather than along the p candidates; the tensor takes B p^3
+    floats.  Excluded candidates score 0, set after the product so that
+    0 * inf never enters.  Ties go to the lowest c: c* = p - 1 - max over
+    the maximizers of p - 1 - c.  A NaN score wins, the lowest-index NaN
+    first, and top is then that NaN (numpy's argmax rule).  best is one
+    gather of theta at (k, a, c*) and (k, b, c*).
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 3 or thetas.shape[1] != thetas.shape[2]:
         raise ValueError(f"need a (B, p, p) stack, got shape {thetas.shape}")
     n, p, _ = thetas.shape
-    mag = np.abs(thetas)
-    score = mag[:, :, None, :] * mag[:, None, :, :]  # [k, a, b, c]
-    idx = np.arange(p)
-    score[:, idx, :, idx] = 0.0  # exclude c == a
-    score[:, :, idx, idx] = 0.0  # exclude c == b
-    cstar = score.argmax(axis=3)
-    top = score.reshape(-1, p)[np.arange(n * p * p), cstar.ravel()]
-    k = np.arange(n)[:, None, None]
-    best = thetas[k, idx[:, None], cstar] * thetas[k, idx, cstar]
-    return top.reshape(cstar.shape), best
+    mag = np.abs(thetas.transpose(2, 0, 1), order="C")  # [c, k, a] = |theta_kac|
+    score = np.einsum("cka,ckb->ckab", mag, mag, order="C")
+    np.einsum("ckcb->ckb", score)[...] = 0.0  # exclude c == a
+    np.einsum("ckac->cka", score)[...] = 0.0  # exclude c == b
+    top = score.max(axis=0)
+    hit = score == top
+    nan = np.isnan(top)
+    has_nan = nan.any()
+    if has_nan:  # NaN == NaN is false: mark a NaN column's NaN scores
+        hit |= np.isnan(score) & nan
+    rows, rev = _attraction_layout(n, p)
+    cstar = (p - 1) - (hit * rev).max(axis=0)
+    if has_nan:  # which NaN max returns is numpy's choice; argmax's is c*
+        top = np.take_along_axis(score, cstar[None], axis=0)[0]
+    pair = thetas.reshape(-1)[rows + cstar]
+    return top, pair[0] * pair[1]
+
+
+@functools.lru_cache(maxsize=32)
+def _attraction_layout(n, p):
+    """Read-only index arrays of _attraction_targets for a (n, p, p) stack:
+    rows[0, k, a, b] and rows[1, k, a, b] are the flat offsets of rows
+    (k, a) and (k, b), and rev[c] = p - 1 - c in the smallest unsigned
+    dtype that holds p - 1."""
+    k = np.arange(n)[:, None, None] * (p * p)
+    a = np.arange(p)[:, None] * p
+    rows = np.stack(np.broadcast_arrays(k + a, k + a.T))
+    rev = np.arange(p - 1, -1, -1, dtype=np.min_scalar_type(p - 1))
+    rev = rev.reshape(p, 1, 1, 1)
+    rows.flags.writeable = False
+    rev.flags.writeable = False
+    return rows, rev
 
 
 def _attraction_blend(theta, top, best, alpha):
@@ -184,9 +218,11 @@ class ModelStack:
     apply(thetas) moves row i by models[i]; images(points) moves every
     point by every model.  Both equal the models' own apply bit for
     bit.  Models that only move entries (shifts, identity, attraction with
-    alpha = 0) are one gather over the zero-padded stack, attraction models
-    share one _attraction_targets call and each alpha only blends, and any
-    other model calls its apply point by point.
+    alpha = 0) are one gather over the zero-padded stack.  Attraction
+    models share one _attraction_targets call, whose [c, (k, a, b)] score
+    layout and lowest-index tie rule give each point the same c* as its
+    lone apply, and one broadcast blend with one alpha per model.  Any other
+    model calls its apply point by point.
     """
 
     def __init__(self, models, shape):
@@ -235,16 +271,16 @@ class ModelStack:
         points = self._check(points, None)
         out = np.empty((len(self.models),) + points.shape)
         padded = _padded(points)
+        for i, source in enumerate(self._sources):
+            if source is not None:
+                out[i] = padded[:, source].reshape(points.shape)
         if self._attraction:
             top, best = _attraction_targets(points)
-        for i, model in enumerate(self.models):
-            if self._sources[i] is not None:
-                out[i] = padded[:, self._sources[i]].reshape(points.shape)
-            elif i in self._attraction:
-                out[i] = _attraction_blend(points, top, best, model.alpha)
-            else:
-                for k, point in enumerate(points):
-                    out[i, k] = model.apply(point)
+            out[self._attraction] = _attraction_blend(
+                points, top, best, self._alphas[:, None, None, None])
+        for i in self._others:
+            for k, point in enumerate(points):
+                out[i, k] = self.models[i].apply(point)
         return out
 
     def chunk_length(self):
@@ -318,6 +354,8 @@ def audit_contraction(model, geom, fset, n_pairs=1000, seed=0, threshold=1e-10):
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     rng = np.random.default_rng(seed)
     a_pts = fset.sample(rng, n_pairs)
     b_pts = fset.sample(rng, n_pairs)

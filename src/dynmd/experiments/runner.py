@@ -65,7 +65,8 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
     defaults to 1/sqrt(T).  comparator, when given, must hold T + 1 finite
     points of the experts' shape; its scalar traces feed the bound
     evaluation later.  When loss.f scores each agent
-    (per_agent_values), the aggregate's per-agent values are recorded.
+    (per_agent_values), the aggregate's per-agent values are recorded, and
+    their sum plus loss.r is its loss (f.value must be that sum).
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError(f"T must be an integer >= 1, got {T!r}")
@@ -114,13 +115,16 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
             state, loss, evaluated=(values[:n], grads[:n]))
         weights[t - 1] = state.weights
         expert_losses[t - 1] = losses_t
-        dfs_losses[t - 1] = loss.value(aggregated)
         per_agent_values = getattr(loss.f, "per_agent_values", None)
-        if per_agent_values is not None:
+        if per_agent_values is None:
+            dfs_losses[t - 1] = loss.value(aggregated)
+        else:
+            # loss.f.value is the sum of its per-agent values: score once
             per_agent = per_agent_values(aggregated)
             if agent_values is None:
                 agent_values = np.empty((T, per_agent.shape[0]))
             agent_values[t - 1] = per_agent
+            dfs_losses[t - 1] = float(per_agent.sum()) + loss.r.value(aggregated)
     meta = {"T": T, "n_experts": n, "lam": lam, "eta_r": eta_r,
             "labels": ",".join(labels)}
     return ScenarioResult(

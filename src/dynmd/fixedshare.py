@@ -65,7 +65,8 @@ def default_lambda(m, T):
 
 
 def fixed_share_init(experts, lam, eta_r):
-    """Pool of the given fresh DMD states with uniform weights."""
+    """Pool of the given fresh DMD states with uniform weights; a state
+    that has already stepped (t != 1) raises ValueError naming it."""
     experts = tuple(experts)
     if len(experts) == 0:
         raise ValueError("at least one expert is required")
@@ -74,6 +75,10 @@ def fixed_share_init(experts, lam, eta_r):
     if not (0.0 < eta_r < np.inf):
         raise ValueError(f"eta_r must be positive and finite, got {eta_r}")
     plan = StepPlan(experts)  # a shared feasible set means a shared shape
+    for name, expert in zip(plan.names, experts):
+        if expert.t != 1:
+            raise ValueError(f"{name} has already stepped (t={expert.t}): "
+                             "a pool starts from fresh DMD states")
     n = len(experts)
     return FixedShareState(weights=np.full(n, 1.0 / n), eta_r=float(eta_r),
                            lam=float(lam),

@@ -182,6 +182,16 @@ def test_audit_dynamics_attraction_flags_expansion(capsys):
     assert "VIOLATION" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_audit_dynamics_rejects_nonfinite_threshold(capsys, threshold):
+    # NaN compares false, so every model would pass the audit
+    assert main(["audit-dynamics", "--model", "attraction", "--agents", "2",
+                 "--threshold", threshold]) == 2
+    out, err = capsys.readouterr()
+    assert "[ok]" not in out
+    assert err.startswith("error: threshold must be finite")
+
+
 def test_missing_losses_file_is_a_clean_error(tmp_path, capsys):
     assert main(["eval-regret", "--losses", str(tmp_path / "nope.csv"),
                  "--m", "0"]) == 2

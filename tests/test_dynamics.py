@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dynmd import (
     Box,
@@ -285,6 +288,74 @@ def test_network_attraction_matches_two_gather_formula():
             assert same_bits(got, _attraction_two_gathers(alpha, theta))
 
 
+def _attraction_targets_argmax(thetas):
+    # reference: the masked-argmax search over the [k, a, b, c] layout that
+    # the [c, (k, a, b)] kernel replaces
+    n, p, _ = thetas.shape
+    mag = np.abs(thetas)
+    score = mag[:, :, None, :] * mag[:, None, :, :]  # [k, a, b, c]
+    idx = np.arange(p)
+    score[:, idx, :, idx] = 0.0  # exclude c == a
+    score[:, :, idx, idx] = 0.0  # exclude c == b
+    cstar = score.argmax(axis=3)
+    top = score.reshape(-1, p)[np.arange(n * p * p), cstar.ravel()]
+    k = np.arange(n)[:, None, None]
+    best = thetas[k, idx[:, None], cstar] * thetas[k, idx, cstar]
+    return top.reshape(cstar.shape), best
+
+
+_LEVELS = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+_ALPHAS = (0.0, 0.002, 0.1, 0.5, 1.0)
+
+
+@st.composite
+def attraction_stacks(draw):
+    """(B, p, p) stacks: tied levels, uniform draws, or tied levels mixed
+    with +-inf and NaN."""
+    shape = (draw(st.integers(1, 5)),) + (draw(st.integers(1, 7)),) * 2
+    kind = draw(st.sampled_from(["tied", "uniform", "nonfinite"]))
+    if kind == "uniform":
+        seed = draw(st.integers(0, 2**32 - 1))
+        return np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape)
+    levels = _LEVELS + ((np.inf, -np.inf, np.nan) if kind == "nonfinite" else ())
+    return draw(arrays(float, shape, elements=st.sampled_from(levels)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(attraction_stacks())
+def test_attraction_targets_match_argmax_reference(thetas):
+    with np.errstate(invalid="ignore"):  # 0 * inf scores are NaN
+        top, best = dynamics._attraction_targets(thetas)
+        want_top, want_best = _attraction_targets_argmax(thetas)
+    assert same_bits(top, want_top)
+    assert same_bits(best, want_best)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(attraction_stacks())
+def test_attraction_models_match_two_gather_formula(thetas):
+    def want(alpha, theta):
+        # alpha = 0 is the identity; the formula's 0 * best may flip a sign
+        # bit or, with best infinite, give NaN
+        return theta if alpha == 0.0 else _attraction_two_gathers(alpha, theta)
+
+    n, p, _ = thetas.shape
+    with np.errstate(invalid="ignore"):
+        for alpha in _ALPHAS:
+            for theta in thetas:
+                assert same_bits(NetworkAttraction(alpha).apply(theta),
+                                 want(alpha, theta))
+        rows = [NetworkAttraction(_ALPHAS[k % len(_ALPHAS)]) for k in range(n)]
+        moved = ModelStack(rows, (p, p)).apply(thetas)
+        for k, model in enumerate(rows):
+            assert same_bits(moved[k], want(model.alpha, thetas[k]))
+        pool = [NetworkAttraction(alpha) for alpha in _ALPHAS]
+        images = ModelStack(pool, (p, p)).images(thetas)
+        for i, model in enumerate(pool):
+            for k in range(n):
+                assert same_bits(images[i, k], want(model.alpha, thetas[k]))
+
+
 def test_network_attraction_small_p_has_no_candidates():
     # at p = 2 the off-diagonal entries have no c outside {a, b}: unchanged;
     # diagonals keep their single candidate (the other node)
@@ -415,3 +486,7 @@ def test_audit_argument_errors():
     geom = SquaredEuclidean(1.0)
     with pytest.raises(ValueError):
         audit_contraction(IdentityModel(), geom, Unconstrained(4), n_pairs=0)
+    for threshold in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="threshold"):
+            audit_contraction(IdentityModel(), geom, Unconstrained(4),
+                              threshold=threshold)

@@ -616,6 +616,46 @@ def test_agent_values_collection():
     assert result.agent_values is None
 
 
+class _FitWithoutAgents:
+    # a vote fit that hides per_agent_values, so run_scenario scores the
+    # aggregate through loss.value
+    def __init__(self, fit):
+        self.fit = fit
+
+    def value(self, theta):
+        return self.fit.value(theta)
+
+    def gradient(self, theta):
+        return self.fit.gradient(theta)
+
+    def values_and_grads(self, thetas):
+        return self.fit.values_and_grads(thetas)
+
+
+def test_agent_values_give_the_aggregate_loss_bit_for_bit():
+    # the per-agent values are summed once for the aggregate's loss: the
+    # same bits as loss.value
+    stream, _ = synthetic_votes(n_agents=5, T=12, drift_alpha=0.01, seed=4,
+                                sweeps=1)
+    geom = SquaredEuclidean(0.5)
+    fset = Box(-1.0, 1.0, shape=(5, 5))
+    sched = ConstantStep(0.2)
+
+    def run(wrap):
+        experts = [dmd_init(geom, fset, NetworkAttraction(a), sched,
+                            reg_period=2) for a in (0.0, 0.3)]
+        return run_scenario(lambda t: wrap(stream.loss(t, tau=0.05)),
+                            stream.T, experts, lam=0.1)
+
+    scored = run(lambda loss: loss)
+    plain = run(lambda loss: dataclasses.replace(
+        loss, f=_FitWithoutAgents(loss.f)))
+    assert scored.agent_values is not None and plain.agent_values is None
+    assert np.array_equal(scored.dfs_losses.view(np.uint64),
+                          plain.dfs_losses.view(np.uint64))
+    assert np.array_equal(scored.weights, plain.weights)
+
+
 def test_config_parsing_and_merge(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\n\nrows = 16\nnoise_std=0.1\n"

@@ -252,6 +252,20 @@ def test_init_validation():
         fixed_share_init(mixed, lam=0.1, eta_r=1.0)
 
 
+def test_init_rejects_experts_that_have_stepped():
+    # pooling a stepped expert would restart its schedule and its prox phase
+    geom, fset, sched = SquaredEuclidean(1.0), Box(-1.0, 1.0, shape=2), \
+        ConstantStep(0.5)
+    loss = least_squares(np.eye(2), np.array([0.3, -0.2]), tau=0.1)
+    stepped = dmd_init(geom, fset, PixelShift(0, 1, 2), sched)
+    for _ in range(5):
+        stepped, _, _ = dmd_step(stepped, loss)
+    fresh = dmd_init(geom, fset, IdentityModel(), sched)
+    with pytest.raises(ValueError,
+                       match=r"expert 1 \(E\) has already stepped \(t=6\)"):
+        fixed_share_init([fresh, stepped], lam=0.1, eta_r=1.0)
+
+
 def test_nonfinite_loss_error_names_round():
     loss = least_squares(np.array([[1.0]]), np.array([0.0]))
     far = make_experts(2, [[0.0], [1e200]])
