@@ -218,11 +218,14 @@ class ModelStack:
     apply(thetas) moves row i by models[i]; images(points) moves every
     point by every model.  Both equal the models' own apply bit for
     bit.  Models that only move entries (shifts, identity, attraction with
-    alpha = 0) are one gather over the zero-padded stack.  Attraction
-    models share one _attraction_targets call, whose [c, (k, a, b)] score
-    layout and lowest-index tie rule give each point the same c* as its
-    lone apply, and one broadcast blend with one alpha per model.  Any other
-    model calls its apply point by point.
+    alpha = 0) are one gather over the zero-padded stack: apply reads row
+    i through models[i]'s source index, and images reads every point
+    through every such model's, with a flat index it keeps for the next
+    call of the same length.  Attraction models share one
+    _attraction_targets call, whose [c, (k, a, b)] score layout and
+    lowest-index tie rule give each point the same c* as its lone apply,
+    and one broadcast blend with one alpha per model.  Any other model
+    calls its apply point by point.
     """
 
     def __init__(self, models, shape):
@@ -235,8 +238,13 @@ class ModelStack:
         self._alphas = np.array([self.models[i].alpha for i in self._attraction])
         self._others = [i for i, ix in enumerate(self._sources)
                         if ix is None and i not in self._attraction]
+        # rows of images() that one gather fills, and their (G, size) sources
+        self._gathered = [i for i, ix in enumerate(self._sources) if ix is not None]
+        self._table = (np.stack([self._sources[i] for i in self._gathered])
+                       if self._gathered else None)
+        self._last_index = None  # images' gather index, see _image_index
         self._index = None
-        if any(ix is not None for ix in self._sources):
+        if self._gathered:
             # row k of the zero-padded stack starts at k * (size + 1); rows
             # of other models are copied here and overwritten in apply
             self._index = np.stack([
@@ -269,11 +277,16 @@ class ModelStack:
     def images(self, points):
         """(N, B, *shape) stack whose [i, k] is models[i].apply(points[k])."""
         points = self._check(points, None)
-        out = np.empty((len(self.models),) + points.shape)
-        padded = _padded(points)
-        for i, source in enumerate(self._sources):
-            if source is not None:
-                out[i] = padded[:, source].reshape(points.shape)
+        shape = (len(self.models),) + points.shape
+        if self._gathered:
+            # an index, not np.take: take copies a read-only index each call
+            moved = _padded(points).ravel()[self._image_index(len(points))]
+            if len(self._gathered) == len(self.models):
+                return moved.reshape(shape)
+            out = np.empty(shape)
+            out[self._gathered] = moved.reshape((-1,) + points.shape)
+        else:
+            out = np.empty(shape)
         if self._attraction:
             top, best = _attraction_targets(points)
             out[self._attraction] = _attraction_blend(
@@ -283,11 +296,24 @@ class ModelStack:
                 out[i, k] = self.models[i].apply(point)
         return out
 
+    def _image_index(self, n):
+        """Read-only (G, n, size) flat index into n zero-padded points:
+        entry [g, k, j] is where entry j of the image of point k under the
+        g-th gathered model lies.  The index of the last length asked for
+        is kept, so a run of equal chunks builds it once."""
+        if self._last_index is None or self._last_index.shape[1] != n:
+            index = self._table[:, None, :] + (np.arange(n) * (self.size + 1))[:, None]
+            index.flags.writeable = False
+            self._last_index = index
+        return self._last_index
+
     def chunk_length(self):
         """Points per images() call whose arrays take about 1 MB: the N
-        images of a point and their differences to the next point, or its
-        p^3 attraction scores if larger."""
-        per_point = 2 * len(self.models) * (self.size + 1)
+        images of a point (model_deviations turns them into differences
+        in place) and their gather index, or its p^3 attraction scores if
+        larger."""
+        per_point = (len(self.models) * (self.size + 1)
+                     + len(self._gathered) * self.size)
         if self._attraction:
             per_point = max(per_point, self.size * math.isqrt(self.size))
         return max(1, _SCRATCH_BYTES // (8 * per_point))
@@ -315,7 +341,8 @@ def model_deviations(points, models):
     out = np.empty((T, len(models)))
     for lo in range(0, T, chunk):
         hi = min(lo + chunk, T)
-        diff = pts[lo + 1:hi + 1] - stack.images(pts[lo:hi])
+        diff = stack.images(pts[lo:hi])
+        np.subtract(pts[lo + 1:hi + 1], diff, out=diff)
         diff = diff.reshape(len(models), hi - lo, -1)
         out[lo:hi] = np.sqrt(np.einsum("nkj,nkj->kn", diff, diff))
     return out
@@ -366,8 +393,14 @@ def audit_contraction(model, geom, fset, n_pairs=1000, seed=0, threshold=1e-10):
     for lo in range(0, n_pairs, chunk):
         a, b = a_pts[lo:lo + chunk], b_pts[lo:lo + chunk]
         moved = stack.images(a)[0] - stack.images(b)[0]
-        gaps[lo:lo + chunk] = (geom.divergences(zero, moved)
-                               - geom.divergences(zero, a - b))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            gaps[lo:lo + chunk] = (geom.divergences(zero, moved)
+                                   - geom.divergences(zero, a - b))
+    if not np.isfinite(gaps).all():  # NaN > threshold is false: never [ok]
+        bad = int(np.argmin(np.isfinite(gaps)))
+        raise ValueError(f"{model.label}: the divergence gap of pair {bad} is "
+                         f"{gaps[bad]}, not finite; the sampled points are too "
+                         f"large for {geom!r}")
     worst = int(np.argmax(gaps))
     return ContractionAudit(
         model_label=model.label,

@@ -252,6 +252,28 @@ def cmd_audit_dynamics(args):
     return worst
 
 
+def _join_negative_values(argv):
+    """argv with each number that starts with '-' joined to the flag
+    before it (--box-lo -inf becomes --box-lo=-inf): argparse reads a
+    token such as -inf or -1e300 as an unknown flag, not as a value."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and _is_number(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="dynmd",
@@ -278,7 +300,8 @@ def main(argv=None):
     _add_flags(p, AUDIT_DEFAULTS)
     p.set_defaults(func=cmd_audit_dynamics)
 
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as exc:

@@ -68,8 +68,8 @@ class VideoScenario:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if self.measurements < 1:
             raise ValueError(f"measurements must be >= 1, got {self.measurements}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (0 <= self.noise_std < math.inf):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.boundary not in ("clip", "wrap"):
             raise ValueError(f"boundary must be 'clip' or 'wrap', got {self.boundary!r}")
         legs = tuple(tuple(leg) for leg in self.trajectory)
@@ -159,17 +159,6 @@ class _SensingLookahead:
         return raw
 
 
-def _render(rows, cols, block, r, c, wrap):
-    frame = np.zeros((rows, cols))
-    if wrap:
-        rr = (r + np.arange(block)) % rows
-        cc = (c + np.arange(block)) % cols
-        frame[np.ix_(rr, cc)] = 1.0
-    else:
-        frame[r:r + block, c:c + block] = 1.0
-    return frame.ravel()
-
-
 @dataclass(frozen=True)
 class VideoData:
     scenario: VideoScenario
@@ -226,7 +215,7 @@ def generate_video(scenario):
     s = scenario
     wrap = s.boundary == "wrap"
     r, c = s.start_row, s.start_col
-    frames = [_render(s.rows, s.cols, s.block_size, r, c, wrap)]
+    corners = [(r, c)]  # top-left pixel of the block in each frame
     clipped = []
     for t in range(1, s.T + 1):
         code = s.direction_at(t)
@@ -239,8 +228,16 @@ def generate_video(scenario):
             c = min(max(nc, 0), s.cols - s.block_size)
             if (r, c) != (nr, nc):
                 clipped.append(t)
-        frames.append(_render(s.rows, s.cols, s.block_size, r, c, wrap))
-    frames = np.stack(frames)
+        corners.append((r, c))
+    # one scatter of every block pixel; a clipped block never crosses a
+    # wall, so the modulo only moves the pixels of a wrapped one
+    corners = np.array(corners)
+    span = np.arange(s.block_size)
+    rr = (corners[:, :1] + span) % s.rows
+    cc = (corners[:, 1:] + span) % s.cols
+    frames = np.zeros((s.T + 1, s.rows, s.cols))
+    frames[np.arange(s.T + 1)[:, None, None], rr[:, :, None], cc[:, None, :]] = 1.0
+    frames = frames.reshape(s.T + 1, s.rows * s.cols)
     noise_rng = np.random.default_rng(
         np.random.SeedSequence(s.seed, spawn_key=(1,)))
     m = frames.shape[1] if s.identity_sensing else s.measurements

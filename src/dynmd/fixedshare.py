@@ -108,7 +108,9 @@ def dfs_step(state, loss, evaluated=None):
     n = wtilde.size
     w = (state.lam / n) * total + (1.0 - state.lam) * wtilde
     w = w / w.sum()
-    aggregated = np.tensordot(w, preds, axes=1)
+    # the (1, n) x (n, size) product np.tensordot(w, preds, axes=1) computes,
+    # so the same bits, without its per-call axis bookkeeping
+    aggregated = np.dot(w.reshape(1, n), preds.reshape(n, -1)).reshape(preds.shape[1:])
     tilde, hat = advance(state.plan, loss, preds, grads, t)
     new_state = replace(state, weights=w, theta_hat=hat, theta_tilde=tilde, t=t + 1)
     return new_state, aggregated, losses

@@ -24,8 +24,8 @@ class SquaredEuclidean:
     """psi(theta) = scale * ||theta||^2, strongly convex with sigma = 2 * scale."""
 
     def __init__(self, scale=1.0):
-        if not (scale > 0):
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not (0 < scale < math.inf):
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         self.scale = float(scale)
         self.sigma = 2.0 * self.scale
 
@@ -144,6 +144,8 @@ class Box(FeasibleSet):
         return bool(np.all(a >= self.lo - tol) and np.all(a <= self.hi + tol))
 
     def sample(self, rng, n):
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError(f"cannot sample an unbounded box: {self!r}")
         u = rng.uniform(size=(n,) + self.shape)
         return self.lo + u * (self.hi - self.lo)
 
@@ -237,8 +239,8 @@ class StepSchedule:
 
 class ConstantStep(StepSchedule):
     def __init__(self, eta):
-        if not (eta > 0):
-            raise ValueError(f"eta must be positive, got {eta}")
+        if not (0 < eta < math.inf):
+            raise ValueError(f"eta must be positive and finite, got {eta}")
         self._eta = float(eta)
 
     def eta(self, t):
@@ -264,12 +266,12 @@ class DoublingStep(StepSchedule):
     """
 
     def __init__(self, horizon0, growth=2.0, scale=1.0):
-        if not (horizon0 >= 1):
-            raise ValueError(f"horizon0 must be >= 1, got {horizon0}")
-        if not (growth >= 1):
-            raise ValueError(f"growth must be >= 1, got {growth}")
-        if not (scale > 0):
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not (1 <= horizon0 < math.inf):
+            raise ValueError(f"horizon0 must be finite and >= 1, got {horizon0}")
+        if not (1 <= growth < math.inf):
+            raise ValueError(f"growth must be finite and >= 1, got {growth}")
+        if not (0 < scale < math.inf):
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         self.horizon0 = float(horizon0)
         self.growth = float(growth)
         self.scale = float(scale)

@@ -112,6 +112,60 @@ def test_nonfinite_pool_params_are_clean_errors(tmp_path, capsys, recwarn,
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command,name", [
+    (VIDEO_ARGS + ["--eta-growth", "inf"], "growth"),
+    (VIDEO_ARGS + ["--eta-scale", "nan"], "scale"),
+    (["run-votes", "--agents", "4", "--t", "5", "--sweeps", "1", "--c", "inf"],
+     "scale"),
+    (VIDEO_ARGS + ["--eta-kind", "constant", "--eta-const", "inf"], "eta"),
+    (VIDEO_ARGS + ["--noise-std", "inf"], "noise_std"),
+    (VIDEO_ARGS + ["--noise-std", "nan"], "noise_std"),
+], ids=["eta-growth", "eta-scale", "c", "eta-const", "noise-std-inf",
+        "noise-std-nan"])
+def test_nonfinite_parameters_name_themselves(tmp_path, capsys, recwarn,
+                                              command, name):
+    # each used to crash, warn, or fail later under another name
+    out = tmp_path / "o"
+    assert main(command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be ")
+    assert "finite" in err
+    assert not out.exists()
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--box-lo", "-inf"), ("--box-lo", "-1e300"), ("--box-lo", "-1E150"),
+    ("--threshold", "-1e-3")])
+def test_negative_numbers_are_values_in_either_form(capsys, flag, value):
+    # argparse reads "-inf" or "-1e300" as an unknown flag unless it is
+    # joined to its flag; both spellings must give the same outcome
+    base = ["audit-dynamics", "--model", "shift", "--rows", "2", "--cols", "2",
+            "--pairs", "20"]
+    outcomes = []
+    for argv in (base + [flag, value], base + [f"{flag}={value}"]):
+        code = main(argv)
+        outcomes.append((code,) + capsys.readouterr())
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    if value == "-inf":
+        assert code == 2 and err.startswith("error: cannot sample an unbounded box")
+    elif value == "-1e300":
+        # squared gaps overflow: no NaN estimate may pass as [ok]
+        assert code == 2 and "not finite" in err and "[ok]" not in out
+    else:
+        assert code in (0, 1) and out.count("max gap") == 9
+
+
+def test_join_negative_values_only_moves_numbers():
+    from dynmd.experiments.cli import _join_negative_values
+    argv = ["run-video", "--box-lo", "-inf", "--box-hi", "2", "--out", "-x",
+            "--tau=-1", "-5", "--lam", "-nan"]
+    assert _join_negative_values(argv) == [
+        "run-video", "--box-lo=-inf", "--box-hi", "2", "--out", "-x",
+        "--tau=-1", "-5", "--lam=-nan"]
+
+
 def test_bad_boolean_flag_names_the_value(capsys):
     with pytest.raises(SystemExit) as exc:
         main(VIDEO_ARGS + ["--identity-sensing", "maybe"])

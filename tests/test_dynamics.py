@@ -258,6 +258,96 @@ def test_model_deviations_match_per_point_apply(kind, scratch, monkeypatch):
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
+def _images_per_model(stack, points):
+    # reference: the per-model gather that ModelStack.images replaces, one
+    # padded[:, source] per model that only moves entries
+    out = np.empty((len(stack.models),) + points.shape)
+    padded = dynamics._padded(points)
+    for i, model in enumerate(stack.models):
+        source = model.source_index(stack.size)
+        if source is not None:
+            out[i] = padded[:, source].reshape(points.shape)
+    rows = [i for i, m in enumerate(stack.models)
+            if isinstance(m, NetworkAttraction) and m.alpha != 0.0]
+    if rows:
+        top, best = dynamics._attraction_targets(points)
+        alphas = np.array([stack.models[i].alpha for i in rows])
+        out[rows] = dynamics._attraction_blend(points, top, best,
+                                               alphas[:, None, None, None])
+    for i, model in enumerate(stack.models):
+        if model.source_index(stack.size) is None \
+                and not isinstance(model, NetworkAttraction):
+            for k, point in enumerate(points):
+                out[i, k] = model.apply(point)
+    return out
+
+
+def _mixed_model(code, p):
+    # code < 16: a zero-fill or wrap shift; then the identity, attraction
+    # with alpha = 0, two alphas > 0 and a user model
+    if code < 16:
+        return PixelShift(code % 8, p, p, boundary=("zero", "wrap")[code // 8])
+    return (IdentityModel(), NetworkAttraction(0.0), NetworkAttraction(0.1),
+            NetworkAttraction(1.0), _Doubling())[code - 16]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(codes=st.lists(st.integers(0, 20), min_size=1, max_size=7),
+       p=st.integers(1, 4), chunk=st.integers(1, 4),
+       lengths=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_model_stack_images_match_per_model_gather(codes, p, chunk, lengths, seed):
+    models = [_mixed_model(code, p) for code in codes]
+    stack = ModelStack(models, (p, p))
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        # a budget of `chunk` points per images() call: the bytes a point
+        # takes, read back from a huge budget
+        mp.setattr(dynamics, "_SCRATCH_BYTES", 10**15)
+        per_point = 10**15 // stack.chunk_length()
+        mp.setattr(dynamics, "_SCRATCH_BYTES", chunk * per_point)
+        assert stack.chunk_length() == chunk
+        # lengths 1 .. 2 * chunk_length(), in turn, so the kept index is
+        # reused and replaced
+        for frac in lengths + lengths[:1]:
+            n = 1 + int(frac * (2 * chunk - 1))
+            points = _tied_matrices(rng, n, p)
+            points[1::2] = rng.uniform(-1.0, 1.0, size=points[1::2].shape)
+            got = stack.images(points)
+            assert same_bits(got, _images_per_model(stack, points))
+            assert got.flags.writeable and got.flags.c_contiguous
+        path = rng.uniform(-1.0, 1.0, size=(2 * chunk + 2, p, p))
+        # across chunk seams, the deviations of one pass over the whole path
+        diff = path[1:] - _images_per_model(stack, path[:-1])
+        diff = diff.reshape(len(models), len(path) - 1, -1)
+        want = np.sqrt(np.einsum("nkj,nkj->kn", diff, diff))
+        assert same_bits(model_deviations(path, models), want)
+    index = stack._last_index
+    assert (index is None) == (not stack._gathered)
+    if index is not None:
+        # read-only, and the stack's own: another stack keeps another
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[...] = 0
+        other = ModelStack(models, (p, p))
+        other.images(points)
+        assert not np.shares_memory(other._last_index, index)
+        assert same_bits(other._last_index, index) == (len(points) == index.shape[1])
+
+
+def test_model_stack_images_gather_rows_in_place():
+    # every model only moves entries: the gather itself is the output; a
+    # mixed stack writes its gathered rows around the computed ones
+    rng = np.random.default_rng(89)
+    points = rng.uniform(-1.0, 1.0, size=(5, 16))
+    shifts = ModelStack(shift_family(4, 4, boundary="wrap"), (16,))
+    assert len(shifts._gathered) == 9
+    assert same_bits(shifts.images(points), _images_per_model(shifts, points))
+    mixed = ModelStack([_Doubling()] + shift_family(4, 4)[:2] + [_Doubling()], (16,))
+    assert mixed._gathered == [1, 2]
+    assert same_bits(mixed.images(points), _images_per_model(mixed, points))
+
+
 def _attraction_two_gathers(alpha, theta):
     # reference: the formula before best_abs became score.max
     p = theta.shape[0]

@@ -41,6 +41,7 @@ from dynmd.experiments import (
     write_losses_csv,
     write_weights_csv,
 )
+from dynmd.dynamics import DIRECTIONS
 from dynmd.experiments import video as video_module
 from dynmd.experiments import votes as votes_module
 from dynmd.experiments.runner import _write_csv
@@ -99,6 +100,43 @@ def test_stay_code_freezes_the_frame():
                                          noise_std=0.0))
     for t in range(1, 4):
         assert np.array_equal(data.frames[t], data.frames[0])
+
+
+def _frames_by_render(s):
+    # reference: the frame-by-frame renderer that the one scatter replaces
+    frames, r, c = [], s.start_row, s.start_col
+    for t in range(s.T + 1):
+        if t > 0:
+            code = s.direction_at(t)
+            dr, dc = (0, 0) if code == STAY else DIRECTIONS[code][1:]
+            r, c = r + dr, c + dc
+            if s.boundary == "wrap":
+                r, c = r % s.rows, c % s.cols
+            else:
+                r = min(max(r, 0), s.rows - s.block_size)
+                c = min(max(c, 0), s.cols - s.block_size)
+        frame = np.zeros((s.rows, s.cols))
+        if s.boundary == "wrap":
+            span = np.arange(s.block_size)
+            frame[np.ix_((r + span) % s.rows, (c + span) % s.cols)] = 1.0
+        else:
+            frame[r:r + s.block_size, c:c + s.block_size] = 1.0
+        frames.append(frame.ravel())
+    return np.stack(frames)
+
+
+@pytest.mark.parametrize("boundary", ["clip", "wrap"])
+@pytest.mark.parametrize("grid", [(8, 8, 2, 3, 1), (5, 7, 3, 2, 4), (1, 1, 1, 0, 0),
+                                  (6, 4, 4, 2, 0)])
+def test_frames_match_frame_by_frame_render(boundary, grid):
+    rows, cols, block, r0, c0 = grid
+    traj = ((1, 1), (9, 5), (17, STAY), (20, 3), (30, 6))
+    scen = small_scenario(rows=rows, cols=cols, block_size=block, start_row=r0,
+                          start_col=c0, trajectory=traj, T=40, boundary=boundary)
+    frames = generate_video(scen).frames
+    assert frames.shape == (41, rows * cols) and frames.flags.c_contiguous
+    assert np.array_equal(frames.view(np.uint64),
+                          _frames_by_render(scen).view(np.uint64))
 
 
 def test_video_generation_is_reproducible():
@@ -283,6 +321,9 @@ def test_video_scenario_validation():
         small_scenario(trajectory=((1, 9),))
     with pytest.raises(ValueError):
         small_scenario(T=0)
+    for noise_std in (-0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^noise_std must be finite"):
+            small_scenario(noise_std=noise_std)
     data = generate_video(small_scenario())
     with pytest.raises(ValueError):
         data.matrix(0)

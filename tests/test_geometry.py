@@ -250,6 +250,30 @@ def test_schedule_argument_errors():
         DoublingStep(1, 2, 1.0).eta(-3)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_parameters_are_rejected_by_name(bad):
+    # an infinite growth used to overflow in the segment walk, an infinite
+    # geometry scale to surface as a zero prox weight
+    cases = [
+        (lambda: SquaredEuclidean(bad), "scale"),
+        (lambda: ConstantStep(bad), "eta"),
+        (lambda: DoublingStep(bad, 2, 1.0), "horizon0"),
+        (lambda: DoublingStep(1, bad, 1.0), "growth"),
+        (lambda: DoublingStep(1, 2, bad), "scale"),
+    ]
+    for make, name in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
+            make()
+
+
+def test_unbounded_box_projects_but_cannot_sample():
+    box = Box(-np.inf, 1.0, shape=(3,))
+    assert np.array_equal(box.project(np.array([-5.0, 0.5, 7.0])),
+                          [-5.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="unbounded box"):
+        box.sample(np.random.default_rng(0), 2)
+
+
 def test_bound_constants_degenerate_sample():
     # single point at the minimizer of a single loss: every estimate is zero
     geom = SquaredEuclidean(0.5)
