@@ -21,16 +21,15 @@ there raises ValueError.  The prox is applied only on steps with
 t % reg_period == 0 (reg_period = 1 means every step).  COMID is the
 special case Phi = identity with reg_period = 1.
 
-A pool of trackers on one loss stream steps together: advance(plan, ...)
-takes (N, *shape) stacks of predictions and gradients, runs one gradient
-step, soft threshold and projection on the whole stack, applies the
-models by one ModelStack call and returns the (theta_tilde, theta_hat)
-stacks.  The rows differ only in their models (StepPlan checks this).
-dmd_step is the N = 1 case of that step, and every row of a pool step is
-computed with the same elementwise arithmetic as a lone step.
+A StepPlan holds the parts of a step: a tracker's state holds its one-row
+plan, and a pool's plan joins its experts' plans, which differ only in
+their models.  advance(plan, ...) runs one gradient step, soft threshold
+and projection on an (N, *shape) stack, applies the models by one
+ModelStack call and returns the (theta_tilde, theta_hat) stacks; dmd_step
+is its N = 1 case, with the same elementwise arithmetic as a pool's rows.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +40,18 @@ from .geometry import Ball
 @dataclass(frozen=True)
 class DmdState:
     """Learner state; steps return new states, arrays are never mutated.
-    A pool's expert views share memory with its stacks: never write them."""
+    The parts read the one-row plan, so replace(state, model=...) raises TypeError."""
 
     theta_hat: np.ndarray
     theta_tilde: np.ndarray
     t: int
-    geom: object
-    fset: object
-    model: object
-    schedule: object
-    reg_period: int = 1
+    plan: object
+
+    geom = property(lambda self: self.plan.geom)
+    fset = property(lambda self: self.plan.fset)
+    model = property(lambda self: self.plan.models.models[0])
+    schedule = property(lambda self: self.plan.schedule)
+    reg_period = property(lambda self: self.plan.reg_period)
 
 
 def dmd_init(geom, fset, model, schedule, reg_period=1, theta0=None):
@@ -62,9 +63,8 @@ def dmd_init(geom, fset, model, schedule, reg_period=1, theta0=None):
         theta0 = np.asarray(theta0, dtype=float)
         if not fset.contains(theta0):
             raise ValueError("theta0 lies outside the feasible set")
-    return DmdState(theta_hat=theta0.copy(), theta_tilde=theta0.copy(), t=1,
-                    geom=geom, fset=fset, model=model, schedule=schedule,
-                    reg_period=int(reg_period))
+    plan = StepPlan(geom, fset, schedule, int(reg_period), (model,), theta0.shape)
+    return DmdState(theta0.copy(), theta0.copy(), 1, plan)
 
 
 def comid_init(geom, fset, schedule, theta0=None):
@@ -72,31 +72,38 @@ def comid_init(geom, fset, schedule, theta0=None):
 
 
 class StepPlan:
-    """How a pool of DMD states takes its stacked step.  The states share
-    the same geometry, feasible set and schedule objects and one reg_period
-    (else ValueError names the first expert and part that differ); the plan
-    holds those, the experts' names and one ModelStack of their models, and
-    serves every round.
-    """
+    """The parts of a DMD step: one geometry, feasible set, schedule and
+    reg_period, and a ModelStack of the rows' models on points of the given
+    shape; names[i] names row i.  dmd_init builds a tracker's one-row plan."""
 
-    def __init__(self, states):
-        states = tuple(states)
-        first = states[0]
-        self.names = tuple(f"expert {i} ({s.model.label})"
-                           for i, s in enumerate(states))
-        for name, s in zip(self.names[1:], states[1:]):
-            shared = {"geom": s.geom is first.geom, "fset": s.fset is first.fset,
-                      "schedule": s.schedule is first.schedule,
-                      "reg_period": s.reg_period == first.reg_period}
+    def __init__(self, geom, fset, schedule, reg_period, models, shape, rows=None):
+        self.geom = geom
+        self.fset = fset
+        self.schedule = schedule
+        self.reg_period = reg_period
+        self.models = ModelStack(models, shape)
+        self.names = tuple(f"expert {i} ({m.label})"
+                           for i, m in enumerate(self.models.models))
+        self.rows = (self,) if rows is None else rows  # one-row plans
+
+    @classmethod
+    def join(cls, plans):
+        """A pool's plan that keeps the given plans' rows.  They must share the
+        same geometry, feasible set and schedule objects and one reg_period
+        (else ValueError names the first expert and part that differ)."""
+        rows = tuple(row for plan in plans for row in plan.rows)
+        first = rows[0]
+        for i, row in enumerate(rows[1:], 1):
+            shared = {"geom": row.geom is first.geom, "fset": row.fset is first.fset,
+                      "schedule": row.schedule is first.schedule,
+                      "reg_period": row.reg_period == first.reg_period}
             for part, same in shared.items():
                 if not same:
-                    raise ValueError(f"{name} does not share expert 0's {part}: "
-                                     "a pool's experts differ only in their models")
-        self.geom = first.geom
-        self.fset = first.fset
-        self.schedule = first.schedule
-        self.reg_period = first.reg_period
-        self.models = ModelStack([s.model for s in states], first.theta_hat.shape)
+                    raise ValueError(f"expert {i} ({row.models.models[0].label}) does "
+                                     f"not share expert 0's {part}: a pool's experts "
+                                     "differ only in their models")
+        return cls(first.geom, first.fset, first.schedule, first.reg_period,
+                   [row.models.models[0] for row in rows], first.models.shape, rows)
 
 
 def require_finite(stack, layer, t, names):
@@ -114,10 +121,15 @@ def advance(plan, loss, thetas, grads, t):
     thetas is the (N, *shape) stack of predictions and grads the stack of
     f-gradients there.  Returns the (theta_tilde, theta_hat) stacks of the
     next round.  Non-finite gradients or steps raise FloatingPointError
-    naming the round, expert and layer.
+    naming the round, expert and layer; a step size that underflows the
+    prox weight to 0 raises ValueError.
     """
     require_finite(grads, "gradient", t, plan.names)
     kappa = plan.schedule.eta(t) / (2.0 * plan.geom.scale)
+    if kappa == 0.0:
+        raise ValueError(f"prox weight eta_t / 2c underflows to 0 at round t={t}, "
+                         f"{plan.names[0]}: eta_t={plan.schedule.eta(t)!r}, "
+                         f"c={plan.geom.scale!r}")
     v = thetas - kappa * grads
     require_finite(v, "step", t, plan.names)
     if t % plan.reg_period == 0 and loss.r.tau > 0.0:
@@ -136,12 +148,9 @@ def dmd_step(state, loss):
 
     loss is the composite loss of round state.t.
     """
-    t = state.t
-    theta_hat = state.theta_hat
-    g = loss.f_gradient(theta_hat)
-    tildes, nexts = advance(StepPlan((state,)), loss, theta_hat[None], g[None], t)
-    new_state = replace(state, theta_hat=nexts[0], theta_tilde=tildes[0], t=t + 1)
-    return new_state, new_state.theta_hat, None
+    g = loss.f_gradient(state.theta_hat)
+    tildes, nexts = advance(state.plan, loss, state.theta_hat[None], g[None], state.t)
+    return DmdState(nexts[0], tildes[0], state.t + 1, state.plan), nexts[0], None
 
 
 def comid_step(state, loss):

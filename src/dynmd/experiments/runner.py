@@ -70,11 +70,10 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError(f"T must be an integer >= 1, got {T!r}")
-    experts = list(experts)
-    n = len(experts)
     if eta_r is None:
         eta_r = 1.0 / math.sqrt(T)
     state = fixed_share_init(experts, lam=lam, eta_r=eta_r)
+    n = state.weights.size
     pts = None
     if comparator is not None:
         pts = path_points(comparator)
@@ -86,7 +85,7 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
                              f"the experts' have {state.theta_hat.shape[1:]}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("comparator contains non-finite points")
-    labels = tuple(e.model.label for e in experts)
+    labels = tuple(m.label for m in state.plan.models.models)
     weights = np.empty((T, n))
     expert_losses = np.empty((T, n))
     dfs_losses = np.empty(T)
@@ -110,7 +109,8 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
             comp_losses[t - 1] = values[n]
             comp_subgrad[t - 1] = point_subgrad_norms[n]
             comp_norms[t - 1] = np.linalg.norm(np.ravel(comp))
-            comp_div[t - 1] = state.plan.geom.divergences(comp, preds)
+            with np.errstate(over="ignore"):  # theorem2_curve rejects an inf d_max
+                comp_div[t - 1] = state.plan.geom.divergences(comp, preds)
         state, aggregated, losses_t = dfs_step(
             state, loss, evaluated=(values[:n], grads[:n]))
         weights[t - 1] = state.weights

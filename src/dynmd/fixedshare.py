@@ -8,21 +8,20 @@ Round t, expert predictions theta_i made before the round's data arrives:
     output   = sum_i w_i theta_i                            (aggregate)
 
 then every expert advances one DMD step on the same loss.  The experts
-differ only in their models: they share one geometry, feasible set,
-schedule and reg_period (dmd.StepPlan).  The loss update runs in log space
-with max subtraction, so 10^4-scale losses cannot underflow the weight
-vector.  After the share step every normalized weight is at least lam / N.
-The aggregated prediction is invariant to positive rescaling of the
-weights.
+differ only in their models: the pool's plan joins their one-row plans
+(dmd.StepPlan.join).  The loss update runs in log space with max
+subtraction, so 10^4-scale losses cannot underflow the weight vector.
+After the share step every normalized weight is at least lam / N.  The
+aggregated prediction is invariant to positive rescaling of the weights.
 
 The pool owns its iterates as (N, *shape) stacks theta_hat and theta_tilde;
-state.experts builds read-only DmdState views of their rows on demand.  A
-round is one stacked computation: one loss.values_and_grads call gives
-every expert's loss and gradient, and the same gradients drive one stacked
-mirror step (dmd.advance) that returns the next stacks.  A caller that has
-already evaluated the round's loss at the predictions passes the result in,
-so nothing is evaluated twice.  With one expert the round is bit-identical
-to dmd_step.
+state.experts pairs their rows with the experts' own plans as read-only
+DmdState views.  A round is one stacked computation: one
+loss.values_and_grads call gives every expert's loss and gradient, and the
+same gradients drive one stacked mirror step (dmd.advance) that returns
+the next stacks.  A caller that has already evaluated the round's loss at
+the predictions passes the result in, so nothing is evaluated twice.  With
+one expert the round is bit-identical to dmd_step.
 """
 
 from dataclasses import dataclass, field, replace
@@ -47,10 +46,8 @@ class FixedShareState:
     def experts(self):
         """DmdState of every expert at round t; its arrays are rows of the
         stacks and must not be written."""
-        p = self.plan
-        return tuple(DmdState(hat, tilde, self.t, p.geom, p.fset, model,
-                              p.schedule, p.reg_period) for hat, tilde, model
-                     in zip(self.theta_hat, self.theta_tilde, p.models.models))
+        return tuple(DmdState(hat, tilde, self.t, row) for hat, tilde, row
+                     in zip(self.theta_hat, self.theta_tilde, self.plan.rows))
 
 
 def default_lambda(m, T):
@@ -74,7 +71,7 @@ def fixed_share_init(experts, lam, eta_r):
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
     if not (0.0 < eta_r < np.inf):
         raise ValueError(f"eta_r must be positive and finite, got {eta_r}")
-    plan = StepPlan(experts)  # a shared feasible set means a shared shape
+    plan = StepPlan.join(e.plan for e in experts)  # one fset, so one shape
     for name, expert in zip(plan.names, experts):
         if expert.t != 1:
             raise ValueError(f"{name} has already stepped (t={expert.t}): "

@@ -7,6 +7,7 @@ points are plain numpy arrays of any shape; all norms are taken over the
 flattened values.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -279,12 +280,15 @@ class DoublingStep(StepSchedule):
     def _segments(self, T):
         """(last round, length) of each segment, up to the one holding round T."""
         seg_len = end = self.horizon0
-        while True:
+        for k in itertools.count(1):
             yield math.floor(end), seg_len
             if end >= T:
                 return
             seg_len *= self.growth
             end += seg_len
+            if end == math.inf:
+                raise ValueError(f"growth={self.growth!r} overflows segment {k}: "
+                                 "its last round is not a finite number")
 
     def eta(self, t):
         t = self._check_t(t)

@@ -163,16 +163,26 @@ def theorem2_curve(constants, schedule, deviations):
         + (g_ell^2 / (2 sigma)) * sum_{s<=t} eta_s
 
     deviations holds the per-step comparator deviations ||theta_{s+1} -
-    Phi(theta_s)||, and V_Phi(t) is their sum over s <= t.
+    Phi(theta_s)||, and V_Phi(t) is their sum over s <= t.  A bound that is
+    not finite (a step size near 0, huge constants) raises ValueError
+    naming the first such round.
     """
     dev = np.asarray(deviations, dtype=float)
     if dev.ndim != 1 or dev.size == 0 or np.any(dev < 0):
         raise ValueError("deviations must be a nonempty vector of norms >= 0")
     T = dev.shape[0]
     etas = schedule.etas(T + 1)
-    return (constants.d_max / etas[1:]
-            + 4.0 * constants.big_m / etas[:T] * np.cumsum(dev)
-            + constants.g_ell ** 2 / (2.0 * constants.sigma) * np.cumsum(etas[:T]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        curve = (constants.d_max / etas[1:]
+                 + 4.0 * constants.big_m / etas[:T] * np.cumsum(dev)
+                 + constants.g_ell ** 2 / (2.0 * constants.sigma) * np.cumsum(etas[:T]))
+    bad = ~np.isfinite(curve)
+    if bad.any():
+        t = int(np.argmax(bad)) + 1
+        raise ValueError(f"Theorem 2 bound is not finite at round t={t}: "
+                         f"eta_t={float(etas[t - 1])!r}, eta_t+1={float(etas[t])!r}, "
+                         f"{constants}")
+    return curve
 
 
 @dataclass(frozen=True)

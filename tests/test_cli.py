@@ -134,6 +134,32 @@ def test_nonfinite_parameters_name_themselves(tmp_path, capsys, recwarn,
     assert not recwarn.list
 
 
+# with 6 agents the comparator's divergence at c=1e308 overflows in round 1
+VOTES_SMALL = ["run-votes", "--agents", "6", "--t", "5", "--sweeps", "1"]
+
+
+@pytest.mark.parametrize("command,named", [
+    (VIDEO_ARGS + ["--eta-growth", "1e308"], ["growth=1e+308", "segment 1"]),
+    (VOTES_SMALL + ["--c", "1e308"], ["round t=1", "expert 0", "eta_t=", "c=1e+308"]),
+    (VIDEO_ARGS + ["--eta-scale", "1e-320"], ["round t=1", "eta_t="]),
+    (VOTES_SMALL + ["--eta-kind", "constant", "--eta-const", "1e-320"],
+     ["round t=1", "eta_t=1e-320"]),
+], ids=["eta-growth-overflows", "c-underflows-prox", "eta-scale-subnormal",
+        "eta-const-subnormal"])
+def test_extreme_finite_parameters_are_clean_errors(tmp_path, capsys, recwarn,
+                                                    command, named):
+    # each used to crash with OverflowError, warn and blame kappa, or write
+    # nan / inf bound columns and exit 0
+    out = tmp_path / "o"
+    assert main(command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for fragment in named:
+        assert fragment in err
+    assert not out.exists()
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--box-lo", "-inf"), ("--box-lo", "-1e300"), ("--box-lo", "-1E150"),
     ("--threshold", "-1e-3")])

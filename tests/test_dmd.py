@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -139,6 +140,56 @@ def test_comid_step_rejects_non_static_states():
         comid_step(lazy, least_squares(np.eye(4), np.zeros(4)))
 
 
+def test_state_holds_its_one_row_plan(monkeypatch):
+    # the parts live once, in the plan: a step builds no plan and keeps the
+    # very plan, a part cannot be replaced around it, and the lone step
+    # stays the directly coded static update bit for bit (criterion 1)
+    rng = np.random.default_rng(79)
+    geom = SquaredEuclidean(1.0)
+    fset = Box(-1.0, 1.0, shape=6)
+    sched = DoublingStep(4, 2, 0.5)
+    model = IdentityModel()
+    state = dmd_init(geom, fset, model, sched)
+    assert [f.name for f in dataclasses.fields(state)] == [
+        "theta_hat", "theta_tilde", "t", "plan"]
+    assert state.plan.rows == (state.plan,)
+    assert state.plan.names == ("expert 0 (identity)",)
+    for part, want in (("geom", geom), ("fset", fset), ("model", model),
+                       ("schedule", sched)):
+        assert getattr(state, part) is want
+    assert state.reg_period == 1
+    with pytest.raises(TypeError):
+        dataclasses.replace(state, model=PixelShift(0, 2, 3))
+    with pytest.raises(AttributeError):
+        state.schedule = ConstantStep(0.1)
+    theta = np.zeros(6)
+    losses = make_stream(rng, 40, 4, 6, tau=0.05)
+
+    def no_new_plan(*args, **kwargs):
+        raise AssertionError("dmd_step built a StepPlan")
+
+    monkeypatch.setattr(StepPlan, "__init__", no_new_plan)
+    for t, loss in enumerate(losses, start=1):
+        kappa = sched.eta(t) / 2.0
+        v = theta - kappa * loss.f_gradient(theta)
+        theta = np.clip(np.sign(v) * np.maximum(np.abs(v) - kappa * 0.05, 0.0),
+                        -1.0, 1.0)
+        nxt, pred, _ = dmd_step(state, loss)
+        assert nxt.plan is state.plan
+        assert nxt.t == t + 1
+        assert np.array_equal(pred, theta)
+        state = nxt
+
+
+def test_prox_weight_underflow_names_round_expert_and_scale():
+    state = dmd_init(SquaredEuclidean(1e308), Unconstrained(2), IdentityModel(),
+                     ConstantStep(0.5))
+    loss = least_squares(np.eye(2), np.ones(2), tau=0.1)
+    with pytest.raises(ValueError, match=r"t=1, expert 0 \(identity\): "
+                                         r"eta_t=0\.5, c=1e\+308"):
+        dmd_step(state, loss)
+
+
 def test_advance_returns_stacks_matching_lone_steps():
     # one advance on the stacks gives every row of a lone dmd_step, bit for bit
     rng = np.random.default_rng(73)
@@ -148,7 +199,8 @@ def test_advance_returns_stacks_matching_lone_steps():
     models = (PixelShift(0, 3, 3), IdentityModel(), PixelShift(4, 3, 3))
     states = [dmd_init(geom, fset, m, sched, reg_period=2,
                        theta0=rng.uniform(size=9)) for m in models]
-    plan = StepPlan(states)
+    plan = StepPlan.join(s.plan for s in states)
+    assert plan.rows == tuple(s.plan for s in states)
     thetas = np.stack([s.theta_hat for s in states])
     for t in (1, 2):  # reg_period=2: round 1 skips the prox, round 2 applies it
         loss = least_squares(rng.normal(size=(5, 9)), rng.normal(size=5), tau=0.1)

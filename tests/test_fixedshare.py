@@ -122,6 +122,7 @@ def test_experts_are_read_only_views_of_the_stacks():
     views = state.experts
     assert len(views) == 3
     for i, (view, orig) in enumerate(zip(views, experts)):
+        assert view.plan is orig.plan
         for part in ("geom", "fset", "model", "schedule"):
             assert getattr(view, part) is getattr(orig, part)
         assert view.reg_period == orig.reg_period == 2
