@@ -130,7 +130,8 @@ def advance(plan, loss, thetas, grads, t):
         raise ValueError(f"prox weight eta_t / 2c underflows to 0 at round t={t}, "
                          f"{plan.names[0]}: eta_t={plan.schedule.eta(t)!r}, "
                          f"c={plan.geom.scale!r}")
-    v = thetas - kappa * grads
+    with np.errstate(over="ignore"):  # checked on the next line
+        v = thetas - kappa * grads
     require_finite(v, "step", t, plan.names)
     if t % plan.reg_period == 0 and loss.r.tau > 0.0:
         # exact on boxes and centred balls; see module docstring
@@ -139,7 +140,7 @@ def advance(plan, loss, thetas, grads, t):
                 f"prox on an off-centre ball at round t={t}, {plan.names[0]}: "
                 "project(soft_threshold(v)) is exact only for balls centred at 0")
         v = loss.prox_r(v, kappa)
-    tildes = plan.fset.project_stack(v)
+    tildes = plan.fset.project(v)
     return tildes, plan.models.apply(tildes)
 
 

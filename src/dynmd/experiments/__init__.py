@@ -1,10 +1,4 @@
-from .config import (
-    merge_options,
-    parse_bool,
-    parse_config,
-    parse_floats,
-    parse_trajectory,
-)
+from .config import parse_bool, parse_config, parse_floats, parse_trajectory
 from .runner import (
     RunEvaluation,
     ScenarioResult,
@@ -30,7 +24,6 @@ __all__ = [
     "evaluate_run",
     "generate_video",
     "load_votes",
-    "merge_options",
     "parse_bool",
     "parse_config",
     "parse_floats",

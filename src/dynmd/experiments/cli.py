@@ -6,7 +6,9 @@
     dynmd audit-dynamics sampled non-expansion audit of the model families
 
 Every run option can come from a --config file (key=value lines) or a flag
-of the same name (flags win).  Outputs are plain CSV plus a meta.txt.
+of the same name.  Each config line is read as the flag --key=value placed
+before the typed flags, so a typed flag wins.  Outputs are plain CSV plus a
+meta.txt.
 """
 
 import argparse
@@ -20,13 +22,7 @@ from ..dynamics import NetworkAttraction, shift_family
 from ..fixedshare import default_lambda
 from ..geometry import Box, ConstantStep, DoublingStep, SquaredEuclidean
 from ..regret import tracking_decomposition_from_losses
-from .config import (
-    merge_options,
-    parse_bool,
-    parse_config,
-    parse_floats,
-    parse_trajectory,
-)
+from .config import parse_bool, parse_config, parse_floats, parse_trajectory
 from .runner import (
     evaluate_run,
     read_losses_csv,
@@ -69,17 +65,19 @@ AUDIT_DEFAULTS = {
 def _add_flags(parser, defaults):
     parser.add_argument("--config", default=None, help="key=value options file")
     for key, value in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            parser.add_argument(flag, type=parse_bool, default=None)
-        else:
-            parser.add_argument(flag, type=type(value), default=None)
+        kind = parse_bool if isinstance(value, bool) else type(value)
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, default=value)
+    parser.set_defaults(options=defaults)
 
 
-def _options(args, defaults):
-    config = parse_config(args.config) if args.config else {}
-    flags = {key: getattr(args, key) for key in defaults}
-    return merge_options(defaults, config, flags)
+def _config_flags(args):
+    """The --config file's lines as --key=value tokens; a key that is not
+    one of the command's options raises ValueError."""
+    config = parse_config(args.config)
+    for key in config:
+        if key not in args.options:
+            raise ValueError(f"unknown config key {key!r}")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in config.items()]
 
 
 def _make_schedule(opts):
@@ -134,7 +132,7 @@ def _write_outputs(out, result, evaluation, extra_meta):
 
 
 def cmd_run_video(args):
-    opts = _options(args, VIDEO_DEFAULTS)
+    opts = vars(args)
     scenario = VideoScenario(
         rows=opts["rows"], cols=opts["cols"], block_size=opts["block_size"],
         start_row=opts["start_row"], start_col=opts["start_col"],
@@ -160,7 +158,7 @@ def cmd_run_video(args):
 
 
 def cmd_run_votes(args):
-    opts = _options(args, VOTES_DEFAULTS)
+    opts = vars(args)
     comparator = None
     if opts["votes"]:
         stream = load_votes(opts["votes"])
@@ -224,7 +222,7 @@ def cmd_eval_regret(args):
 
 def cmd_audit_dynamics(args):
     from ..dynamics import audit_contraction
-    opts = _options(args, AUDIT_DEFAULTS)
+    opts = vars(args)
     geom = SquaredEuclidean(opts["c"])
     jobs = []
     if opts["model"] in ("shift", "all"):
@@ -300,9 +298,12 @@ def main(argv=None):
     _add_flags(p, AUDIT_DEFAULTS)
     p.set_defaults(func=cmd_audit_dynamics)
 
-    argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_join_negative_values(argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # argv[0] is the command; a typed flag comes later, so it wins
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as exc:
         # FloatingPointError: a run diverged; the message names the round,

@@ -1,9 +1,9 @@
 """Flat key=value run configuration.
 
 A config file holds one option per line (# comments and blank lines are
-skipped).  Values are coerced to the type of the option's built-in
-default; command-line flags override config values, which override the
-defaults.
+skipped).  The command line reads each line as the flag --key=value, so a
+value is coerced as the flag's is, and a flag typed on the command line
+wins.
 """
 
 
@@ -33,33 +33,6 @@ def parse_bool(text):
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _coerce(key, text, like):
-    try:
-        if isinstance(like, bool):
-            return parse_bool(text)
-        if isinstance(like, int):
-            return int(text)
-        if isinstance(like, float):
-            return float(text)
-    except ValueError:
-        kind = "a boolean" if isinstance(like, bool) else type(like).__name__
-        raise ValueError(f"option {key!r}: expected {kind}, got {text!r}") from None
-    return text
-
-
-def merge_options(defaults, config, flags):
-    """defaults <- config file <- explicit flags; unknown config keys fail."""
-    merged = dict(defaults)
-    for key, text in config.items():
-        if key not in defaults:
-            raise ValueError(f"unknown config key {key!r}")
-        merged[key] = _coerce(key, text, defaults[key])
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    return merged
 
 
 def parse_trajectory(text):

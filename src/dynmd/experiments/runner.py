@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dmd import require_finite
 from ..dynamics import model_deviations
 from ..fixedshare import dfs_step, fixed_share_init
 from ..geometry import BoundConstants
@@ -86,6 +87,7 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
         if not np.all(np.isfinite(pts)):
             raise ValueError("comparator contains non-finite points")
     labels = tuple(m.label for m in state.plan.models.models)
+    names = state.plan.names + ("comparator",)  # row n is the comparator
     weights = np.empty((T, n))
     expert_losses = np.empty((T, n))
     dfs_losses = np.empty(T)
@@ -101,6 +103,7 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
         preds = state.theta_hat
         points = preds if pts is None else np.concatenate([preds, pts[t - 1][None]])
         values, grads = loss.values_and_grads(points)
+        require_finite(values, "loss value", t, names)
         point_subgrad_norms = _row_norms(grads + loss.r.subgradient(points))
         pred_norms[t - 1] = _row_norms(preds)
         subgrad_norms[t - 1] = point_subgrad_norms[:n]
@@ -151,13 +154,18 @@ class RunEvaluation:
 def evaluate_run(result, m=0):
     """Regret curves, run-sampled bound curves, and the m-switch tracking
     decomposition for a run recorded against a comparator.  The models and
-    the pool's one geometry and schedule come from the run's plan."""
+    the pool's one geometry and schedule come from the run's plan.  A
+    regret that overflows raises ValueError naming the round."""
     if result.comparator_losses is None:
         raise ValueError("the run was recorded without a comparator")
     T, n = result.expert_losses.shape
-    diffs = result.expert_losses - result.comparator_losses[:, None]
-    expert_regret = np.cumsum(diffs, axis=0)
-    dfs_regret = np.cumsum(result.dfs_losses - result.comparator_losses)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        diffs = result.expert_losses - result.comparator_losses[:, None]
+        expert_regret = np.cumsum(diffs, axis=0)
+        dfs_regret = np.cumsum(result.dfs_losses - result.comparator_losses)
+    bad = ~np.isfinite(expert_regret).all(axis=1) | ~np.isfinite(dfs_regret)
+    if bad.any():
+        raise ValueError(f"the regret overflows at round t={int(np.argmax(bad)) + 1}")
     plan = result.final_state.plan
     deviations = model_deviations(result.comparator_points, plan.models.models)
     constants = []
@@ -249,9 +257,12 @@ def read_losses_csv(path):
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(names)} fields, got {len(fields)}")
             try:
-                rows.append([float(f) for f in fields])
+                row = [float(f) for f in fields]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric field") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite field")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.array(rows)

@@ -241,7 +241,11 @@ def generate_video(scenario):
     noise_rng = np.random.default_rng(
         np.random.SeedSequence(s.seed, spawn_key=(1,)))
     m = frames.shape[1] if s.identity_sensing else s.measurements
-    noise = s.noise_std * noise_rng.standard_normal(size=(s.T, m))
+    with np.errstate(over="ignore"):  # checked below
+        noise = s.noise_std * noise_rng.standard_normal(size=(s.T, m))
+    if not np.all(np.isfinite(noise)):
+        raise ValueError(f"noise_std={s.noise_std!r} overflows the observation "
+                         "noise: the noise block is not finite")
     raw1 = None if s.identity_sensing else _draw_raw(s, 1)
     A1 = np.eye(m) if raw1 is None else raw1 / math.sqrt(m)
     tau_default = 0.01 * float(np.abs(A1.T @ (A1 @ frames[0] + noise[0])).max())

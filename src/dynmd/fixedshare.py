@@ -90,7 +90,8 @@ def dfs_step(state, loss, evaluated=None):
     evaluated, when given, is loss.values_and_grads at the stacked expert
     predictions (their composite losses and f-gradients); it is computed
     here otherwise.  A non-finite loss, gradient or step raises
-    FloatingPointError naming the round, the expert and the layer.
+    FloatingPointError naming the round, the expert and the layer; an eta_r
+    so large that it overflows every log weight raises ValueError.
     """
     t = state.t
     preds = state.theta_hat
@@ -98,9 +99,15 @@ def dfs_step(state, loss, evaluated=None):
         evaluated = loss.values_and_grads(preds)
     losses, grads = evaluated
     require_finite(losses, "loss value", t, state.plan.names)
-    with np.errstate(divide="ignore"):  # a zero weight is a valid -inf log weight
+    # a zero weight is a valid -inf log weight; an overflow is checked below
+    with np.errstate(divide="ignore", over="ignore"):
         logw = np.log(state.weights) - state.eta_r * losses
-    wtilde = np.exp(logw - logw.max())
+    top = logw.max()
+    if not np.isfinite(top):
+        raise ValueError(f"the log weights overflow to {top} at round t={t}: eta_r="
+                         f"{state.eta_r!r} times the smallest loss "
+                         f"{float(losses.min())!r} overflows")
+    wtilde = np.exp(logw - top)
     total = wtilde.sum()
     n = wtilde.size
     w = (state.lam / n) * total + (1.0 - state.lam) * wtilde

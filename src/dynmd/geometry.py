@@ -62,11 +62,9 @@ class FeasibleSet:
     shape = None
 
     def project(self, p):
+        """Euclidean projection of a point, or of every row of a (k, *shape)
+        stack of points."""
         raise NotImplementedError
-
-    def project_stack(self, points):
-        """project() of every row of a (k, *shape) stack."""
-        return np.stack([self.project(p) for p in points])
 
     def contains(self, p, tol=1e-9):
         raise NotImplementedError
@@ -81,10 +79,12 @@ class FeasibleSet:
             raise ValueError(f"point shape {a.shape} does not match set shape {self.shape}")
         return a
 
-    def _check_stack(self, points):
-        a = _as_array(points)
-        if a.shape[1:] != self.shape:
-            raise ValueError(f"stack shape {a.shape} does not match set shape {self.shape}")
+    def _check_stack(self, p):
+        """p as an array: one point or a (k, *shape) stack of points."""
+        a = _as_array(p)
+        if a.shape != self.shape and a.shape[1:] != self.shape:
+            raise ValueError(f"shape {a.shape} is neither a point nor a stack "
+                             f"of points of set shape {self.shape}")
         return a
 
 
@@ -99,10 +99,7 @@ class Unconstrained(FeasibleSet):
         self.shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
 
     def project(self, p):
-        return self._check_shape(p)
-
-    def project_stack(self, points):
-        return self._check_stack(points)
+        return self._check_stack(p)
 
     def contains(self, p, tol=1e-9):
         self._check_shape(p)
@@ -130,15 +127,12 @@ class Box(FeasibleSet):
         self.shape = tuple(shape)
         self.lo = np.broadcast_to(lo, self.shape).astype(float)
         self.hi = np.broadcast_to(hi, self.shape).astype(float)
-        if not np.all(self.lo <= self.hi):
-            raise ValueError("box requires lo <= hi in every coordinate")
+        if not np.all((self.lo <= self.hi) & (self.lo < np.inf) & (self.hi > -np.inf)):
+            raise ValueError("box requires lo <= hi, lo < inf and hi > -inf in "
+                             "every coordinate")
 
     def project(self, p):
-        a = self._check_shape(p)
-        return np.clip(a, self.lo, self.hi)
-
-    def project_stack(self, points):
-        return np.clip(self._check_stack(points), self.lo, self.hi)
+        return np.clip(self._check_stack(p), self.lo, self.hi)
 
     def contains(self, p, tol=1e-9):
         a = self._check_shape(p)
@@ -147,8 +141,12 @@ class Box(FeasibleSet):
     def sample(self, rng, n):
         if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
             raise ValueError(f"cannot sample an unbounded box: {self!r}")
+        with np.errstate(over="ignore"):
+            width = self.hi - self.lo
+        if not np.isfinite(width).all():
+            raise ValueError(f"cannot sample a box whose width overflows: {self!r}")
         u = rng.uniform(size=(n,) + self.shape)
-        return self.lo + u * (self.hi - self.lo)
+        return self.lo + u * width
 
     def __repr__(self):
         lo = float(self.lo.flat[0]) if np.all(self.lo == self.lo.flat[0]) else "array"
@@ -182,7 +180,9 @@ class Ball(FeasibleSet):
         return self._dist(a) <= self.radius + tol
 
     def project(self, p):
-        a = self._check_shape(p)
+        a = self._check_stack(p)
+        if a.shape != self.shape:
+            return np.stack([self.project(row) for row in a])
         v = a - self.center
         if self.norm == 2:
             nv = float(np.linalg.norm(v.ravel()))

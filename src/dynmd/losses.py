@@ -196,11 +196,14 @@ class CompositeLoss:
         """Composite values and smooth-part gradients of a (k, *shape) stack.
 
         Returns (values, grads): values[i] = value(thetas[i]) and grads[i] =
-        f_gradient(thetas[i]), both from one pass of the data-fit term.
+        f_gradient(thetas[i]), both from one pass of the data-fit term.  An
+        entry that overflows is returned without a warning: the pool's round
+        checks both and names the round and the expert.
         """
         thetas = np.asarray(thetas, dtype=float)
-        f_values, grads = self.f.values_and_grads(thetas)
-        return f_values + self.r.values(thetas), grads
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_values, grads = self.f.values_and_grads(thetas)
+            return f_values + self.r.values(thetas), grads
 
 
 def least_squares(A, x, tau=0.0):

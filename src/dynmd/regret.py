@@ -54,31 +54,35 @@ def cumulative_regret(losses, predictions, comparator):
     return np.cumsum(diffs)
 
 
-def _segmented_min(cost, n_segments):
-    """Exact DP: split steps 1..T into n_segments contiguous nonempty
-    segments, pay each segment's best column sum, minimize the total.
+def _best_switching(cost, m):
+    """Exact DP for fixed share's switching comparator: split steps 1..T
+    into m + 1 contiguous nonempty segments, pay each segment's best column
+    sum of the (T, N) cost, minimize the total, for an integer 0 <= m < T.
 
-    cost is (T, N).  Returns (value, [(start, end)] 1-based inclusive,
-    [column index per segment]).  Consecutive segments may share a column,
-    so the value is also the best assignment of one column per step with
-    at most n_segments - 1 changes (fixed share's switching comparator).
+    Returns (value, [(start, end)] 1-based inclusive, column per segment,
+    switch times: the first step of segments 2..m+1).  Consecutive segments
+    may share a column, so the value is also the best assignment of one
+    column per step with at most m changes.
 
-    Forward recursion over t in O(n_segments * T * N): dp[j, i] is the
-    least cost of steps 1..t in exactly j + 1 segments, the last on column
-    i; a step either extends that segment or starts segment j + 1 on
-    column i after the best j-segment prefix.  On ties the reported
-    segmentation takes the lowest-index final column; going back from
-    step T it extends a segment rather than start a new one, so each
-    segment starts as early as the later ones allow (redundant segments
-    become one-step segments at the start); the column before a new
-    segment is the lowest-index one among ties.
+    Forward recursion over t in O(m * T * N): dp[j, i] is the least cost
+    of steps 1..t in exactly j + 1 segments, the last on column i; a step
+    either extends that segment or starts segment j + 1 on column i after
+    the best j-segment prefix.  On ties the reported segmentation takes the
+    lowest-index final column; going back from step T it extends a segment
+    rather than start a new one, so each segment starts as early as the
+    later ones allow (redundant segments become one-step segments at the
+    start); the column before a new segment is the lowest-index one among
+    ties.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
         raise ValueError("cost must be a (T, N) matrix")
     T, N = cost.shape
-    if not (1 <= n_segments <= T):
-        raise ValueError(f"need 1 <= segments <= {T}, got {n_segments}")
+    if int(m) != m or m < 0:
+        raise ValueError(f"m must be an integer >= 0, got {m}")
+    if m >= T:
+        raise ValueError(f"m must be < T, got m={m}, T={T}")
+    n_segments = int(m) + 1
     dp = np.full((n_segments, N), np.inf)
     dp[0] = cost[0]
     starts = np.zeros((T, n_segments, N), dtype=bool)  # segment j on column i starts at t
@@ -107,19 +111,6 @@ def _segmented_min(cost, n_segments):
     cols.append(col)
     bounds.reverse()
     cols.reverse()
-    return value, bounds, cols
-
-
-def _best_switching(cost, m):
-    """_segmented_min of a (T, N) cost over m + 1 segments, for an integer
-    0 <= m < T.  Returns (value, segment bounds, column per segment,
-    switch times: the first step of segments 2..m+1)."""
-    T = cost.shape[0]
-    if int(m) != m or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m}")
-    if m >= T:
-        raise ValueError(f"m must be < T, got m={m}, T={T}")
-    value, bounds, cols = _segmented_min(cost, m + 1)
     return value, bounds, tuple(cols), tuple(start for start, _ in bounds[1:])
 
 
@@ -208,7 +199,8 @@ def tracking_decomposition_from_losses(dfs_losses, expert_losses, comparator_los
     dfs_losses: (T,) losses of the aggregated predictions; expert_losses:
     (T, N) per-expert losses; comparator_losses: (T,) losses of the
     comparator path.  The best expert sequence comes from the same
-    O(m * T * N) DP as best_segmentation, with the same tie rule.
+    O(m * T * N) DP as best_segmentation, with the same tie rule.  A
+    non-finite loss, or a sum that overflows, raises ValueError.
     """
     dfs_losses = np.asarray(dfs_losses, dtype=float)
     expert_losses = np.asarray(expert_losses, dtype=float)
@@ -216,9 +208,17 @@ def tracking_decomposition_from_losses(dfs_losses, expert_losses, comparator_los
     T = dfs_losses.shape[0]
     if expert_losses.shape[0] != T or comparator_losses.shape[0] != T:
         raise ValueError("loss traces must share the horizon")
-    best, _, cols, switch_times = _best_switching(expert_losses, m)
-    t1 = float(dfs_losses.sum() - best)
-    t2 = float(best - comparator_losses.sum())
+    for name, trace in (("dfs", dfs_losses), ("expert", expert_losses),
+                        ("comparator", comparator_losses)):
+        if not np.all(np.isfinite(trace)):
+            raise ValueError(f"the {name} losses are not all finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        best, _, cols, switch_times = _best_switching(expert_losses, m)
+        t1 = float(dfs_losses.sum() - best)
+        t2 = float(best - comparator_losses.sum())
+    if not np.isfinite([best, t1, t2, t1 + t2]).all():
+        raise ValueError(f"the loss sums overflow: best sequence {best!r}, "
+                         f"t1={t1!r}, t2={t2!r}")
     return TrackingDecomposition(
         t1=t1, t2=t2, total=t1 + t2, best_sequence_loss=best,
         switch_times=switch_times, expert_indices=cols)

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynmd.experiments import read_losses_csv
-from dynmd.experiments.cli import main
+from dynmd.experiments.cli import AUDIT_DEFAULTS, VIDEO_DEFAULTS, VOTES_DEFAULTS, main
 
 VIDEO_ARGS = ["run-video", "--rows", "8", "--cols", "8", "--block-size", "2",
               "--start-row", "3", "--start-col", "0",
@@ -42,6 +48,29 @@ def test_run_video_flags_override_config(tmp_path):
                  "--out", str(out)]) == 0
     table = read_losses_csv(out / "losses.csv")
     assert len(table["t"]) == 9  # the flag beat the config's t=6
+
+
+def test_config_lines_are_read_as_flags(tmp_path, capsys):
+    # each line is coerced as its flag is: the same files as the typed flags
+    options = {"seed": "3", "eta_kind": "constant", "eta_const": "0.2",
+               "box_lo": "-1"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment\n\n" + "".join(f"{k} = {v}\n" for k, v in options.items()))
+    flags = [tok for k, v in options.items() for tok in ("--" + k.replace("_", "-"), v)]
+    assert main(VIDEO_ARGS + ["--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert main(VIDEO_ARGS + flags + ["--out", str(tmp_path / "b")]) == 0
+    for name in ("losses.csv", "weights.csv", "regret.csv", "meta.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    capsys.readouterr()
+    for line, fragment in (("rows=4.5", "'4.5'"), ("identity_sensing=maybe", "'maybe'")):
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(VIDEO_ARGS + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--" + line.split("=")[0].replace("_", "-") in err and fragment in err
+    assert main(VIDEO_ARGS + ["--config", str(tmp_path / "nope.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_video_rejects_unknown_config_key(tmp_path, capsys):
@@ -144,12 +173,25 @@ VOTES_SMALL = ["run-votes", "--agents", "6", "--t", "5", "--sweeps", "1"]
     (VIDEO_ARGS + ["--eta-scale", "1e-320"], ["round t=1", "eta_t="]),
     (VOTES_SMALL + ["--eta-kind", "constant", "--eta-const", "1e-320"],
      ["round t=1", "eta_t=1e-320"]),
+    (VIDEO_ARGS + ["--eta-r", "1e308"], ["round t=1", "eta_r=1e+308", "smallest loss"]),
+    (VOTES_SMALL + ["--eta-r", "1e308"], ["round t=1", "eta_r=1e+308", "smallest loss"]),
+    (VIDEO_ARGS + ["--noise-std", "1e308"], ["noise_std=1e+308"]),
+    (VIDEO_ARGS + ["--tau", "1e308"], ["loss value", "round t=1", "comparator"]),
+    (VOTES_SMALL + ["--tau", "1e308"], ["loss value", "round t=1", "comparator"]),
+    (VIDEO_ARGS + ["--block-size", "1", "--tau", "1e308"],
+     ["the regret overflows at round t=2"]),
+    (VIDEO_ARGS + ["--box-lo", "1e308", "--box-hi", "1e308"],
+     ["loss value", "round t=1", "expert 0"]),
+    (VIDEO_ARGS + ["--eta-kind", "constant", "--eta-const", "1e308"],
+     ["non-finite step", "round t=2", "expert 0"]),
 ], ids=["eta-growth-overflows", "c-underflows-prox", "eta-scale-subnormal",
-        "eta-const-subnormal"])
+        "eta-const-subnormal", "video-eta-r", "votes-eta-r", "noise-std",
+        "video-tau", "votes-tau", "regret-overflows", "box-at-1e308",
+        "eta-const-overflows-step"])
 def test_extreme_finite_parameters_are_clean_errors(tmp_path, capsys, recwarn,
                                                     command, named):
-    # each used to crash with OverflowError, warn and blame kappa, or write
-    # nan / inf bound columns and exit 0
+    # each used to crash with OverflowError, warn and blame kappa or another
+    # name, or write nan / inf columns and exit 0
     out = tmp_path / "o"
     assert main(command + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -300,3 +342,122 @@ def test_import_loads_no_scipy():
                          text=True, check=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "False"
+
+
+# --- every option value ends in a run, a message, or an audit verdict ------
+
+# the tokens an option of each default's type is drawn from; a token of the
+# wrong type must end in argparse's exit 2
+NUMBER_TOKENS = ["0", "1", "-1", "nan", "inf", "-inf", "1e308", "-1e308", ""]
+TOKENS = {
+    float: NUMBER_TOKENS,
+    int: NUMBER_TOKENS + [str(10**30), str(-10**30)],
+    bool: ["true", "false", ""],
+    str: NUMBER_TOKENS,
+}
+# sizes drive loops (a --t of 1e20 never ends), so they stay small
+SIZE_OPTIONS = ("t", "rows", "cols", "agents", "pairs", "sweeps",
+                "measurements", "block_size", "start_row", "start_col")
+# each command's defaults, and the small sizes a drawn option may override
+COMMANDS = {
+    "run-video": (VIDEO_DEFAULTS, ["--rows", "6", "--cols", "6", "--block-size",
+                                   "2", "--start-row", "2", "--t", "6",
+                                   "--measurements", "8", "--eta-horizon0", "2"]),
+    "run-votes": (VOTES_DEFAULTS, ["--agents", "4", "--t", "6", "--sweeps", "1"]),
+    "audit-dynamics": (AUDIT_DEFAULTS, ["--rows", "3", "--cols", "3",
+                                        "--agents", "3", "--pairs", "20"]),
+}
+
+
+def _drawn_options(defaults):
+    def value(key):
+        if key in SIZE_OPTIONS:
+            return st.integers(-1, 6).map(str)
+        return st.sampled_from(TOKENS[type(defaults[key])])
+
+    keys = sorted(set(defaults) - {"out", "votes"})
+    return st.lists(st.sampled_from(keys), max_size=4, unique=True).flatmap(
+        lambda chosen: st.fixed_dictionaries({k: value(k) for k in chosen}))
+
+
+def _run_cli(argv):
+    """(exit code, stdout, stderr) of main(argv), with warnings as errors;
+    argparse's SystemExit(2) counts as a returned 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_option_value_ends_cleanly(command):
+    # exit 0 with finite CSVs, exit 2 with a message, or an audit's exit 1;
+    # never a traceback, a warning or a NaN verdict
+    defaults, small = COMMANDS[command]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_drawn_options(defaults))
+    def check(options):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command] + small
+            for key, value in options.items():
+                argv += ["--" + key.replace("_", "-"), value]
+            if "out" in defaults:
+                argv += ["--out", tmp]
+            code, out, err = _run_cli(argv)
+            if code == 2:
+                assert err.strip(), argv
+                return
+            assert code == 0 or (command, code) == ("audit-dynamics", 1), (argv, err)
+            assert "nan" not in out.lower(), (argv, out)
+            for name in os.listdir(tmp):
+                if name.endswith(".csv"):
+                    data = np.loadtxt(os.path.join(tmp, name), delimiter=",",
+                                      skiprows=1, ndmin=2)
+                    assert np.all(np.isfinite(data)), (argv, name)
+
+    check()
+
+
+@st.composite
+def _loss_tables(draw):
+    T, N = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cols = ["t", "dfs"] + ["comparator"] * draw(st.booleans()) + \
+        [f"expert_{i}" for i in range(N)]
+    cells = st.sampled_from(NUMBER_TOKENS[:-1] + ["0.5"])
+    rows = [[str(t)] + [draw(cells) for _ in cols[1:]] for t in range(1, T + 1)]
+    return cols, rows, draw(st.sampled_from(TOKENS[int] + ["2"]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_loss_tables())
+def test_eval_regret_tables_end_cleanly(case):
+    # exit 0 with finite figures, or exit 2 with a message
+    cols, rows, m = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "losses.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(",".join(r) for r in [cols] + rows) + "\n")
+        argv = ["eval-regret", "--losses", path, "--m", m, "--out", tmp]
+        code, out, err = _run_cli(argv)
+        if code == 2:
+            assert err.strip(), case
+        else:
+            assert code == 0, (case, err)
+            text = out + Path(tmp, "eval.txt").read_text()
+            assert "nan" not in text and "inf" not in text, (case, text)
+
+
+@pytest.mark.parametrize("cell,named", [
+    ("nan", "non-finite field"), ("-inf", "non-finite field"),
+    ("1e308", "the loss sums overflow")])
+def test_eval_regret_rejects_nonfinite_tables(tmp_path, cell, named):
+    path = tmp_path / "losses.csv"
+    path.write_text(f"t,dfs,expert_a\n1,1e308,{cell}\n2,1e308,1e308\n")
+    code, _, err = _run_cli(["eval-regret", "--losses", str(path), "--m", "0"])
+    assert code == 2 and err.startswith("error: ") and named in err

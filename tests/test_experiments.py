@@ -29,7 +29,6 @@ from dynmd.experiments import (
     evaluate_run,
     generate_video,
     load_votes,
-    merge_options,
     parse_config,
     parse_floats,
     parse_trajectory,
@@ -697,26 +696,18 @@ def test_agent_values_give_the_aggregate_loss_bit_for_bit():
     assert np.array_equal(scored.weights, plain.weights)
 
 
-def test_config_parsing_and_merge(tmp_path):
+def test_config_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\n\nrows = 16\nnoise_std=0.1\n"
                     "identity_sensing = yes\n")
     cfg = parse_config(path)
     assert cfg == {"rows": "16", "noise_std": "0.1", "identity_sensing": "yes"}
-    defaults = {"rows": 32, "noise_std": 0.05, "identity_sensing": False,
-                "boundary": "clip"}
-    merged = merge_options(defaults, cfg, {"rows": 8, "noise_std": None})
-    assert merged == {"rows": 8, "noise_std": 0.1, "identity_sensing": True,
-                      "boundary": "clip"}
-    with pytest.raises(ValueError, match="unknown config key"):
-        merge_options(defaults, {"rws": "4"}, {})
-    with pytest.raises(ValueError, match="expected int"):
-        merge_options(defaults, {"rows": "4.5"}, {})
-    with pytest.raises(ValueError, match="boolean"):
-        merge_options(defaults, {"identity_sensing": "maybe"}, {})
     bad = tmp_path / "bad.cfg"
     bad.write_text("rows 16\n")
     with pytest.raises(ValueError, match=":1"):
+        parse_config(bad)
+    bad.write_text(" = 16\n")
+    with pytest.raises(ValueError, match="empty key"):
         parse_config(bad)
 
 

@@ -127,6 +127,24 @@ def test_projection_idempotent_and_nonexpansive():
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-9
 
 
+def test_project_takes_a_point_or_a_stack():
+    # a (k, *shape) stack projects row by row, bit for bit
+    rng = np.random.default_rng(31)
+    sets = [Box(-1.0, 1.0, shape=(2, 3)), Unconstrained((2, 3)),
+            Ball(np.zeros((2, 3)), 2.0, norm=2), Ball(np.ones((2, 3)), 1.5, norm=1)]
+    stack = rng.normal(scale=3.0, size=(4, 2, 3))
+    for fset in sets:
+        got = fset.project(stack)
+        assert got.shape == stack.shape
+        for row, p in zip(got, stack):
+            assert np.array_equal(row, fset.project(p))
+        for bad in (np.zeros(3), np.zeros((4, 3, 2)), np.zeros((1, 1, 2, 3))):
+            with pytest.raises(ValueError, match="neither a point nor a stack"):
+                fset.project(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            fset.project(np.full((2, 2, 3), np.nan))
+
+
 def test_ball_projection_optimality_sampled():
     # the projection must be at least as close as any sampled feasible point
     rng = np.random.default_rng(29)
@@ -146,6 +164,10 @@ def test_box_requires_ordered_bounds():
         Box(1.0, 0.0, shape=2)
     with pytest.raises(ValueError):
         Box(2.0, 3.0)  # scalar bounds without a shape
+    # no finite point: projecting zeros would start a tracker at +-inf
+    for lo, hi in ((np.inf, np.inf), (-np.inf, -np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="lo < inf and hi > -inf"):
+            Box(lo, hi, shape=2)
 
 
 def test_membership_boundary_points():
@@ -272,6 +294,9 @@ def test_unbounded_box_projects_but_cannot_sample():
                           [-5.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="unbounded box"):
         box.sample(np.random.default_rng(0), 2)
+    # finite bounds whose width overflows, with no overflow warning
+    with pytest.raises(ValueError, match="width overflows"):
+        Box(-1e308, 1e308, shape=(3,)).sample(np.random.default_rng(0), 2)
 
 
 def test_bound_constants_degenerate_sample():

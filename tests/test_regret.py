@@ -24,7 +24,7 @@ from dynmd import (
 )
 import dynmd.regret
 from dynmd.dynamics import model_deviations
-from dynmd.regret import _segmented_min
+from dynmd.regret import _best_switching
 
 
 def random_losses(rng, T, m, n, tau=0.0):
@@ -273,7 +273,7 @@ def switching_costs(draw):
 def test_switching_dp_matches_brute_force(case):
     cost, m = case
     T = cost.shape[0]
-    value, bounds, cols = _segmented_min(cost, m + 1)
+    value, bounds, cols, switch_times = _best_switching(cost, m)
     scale = max(1.0, np.abs(cost).sum())
     assert abs(value - _brute_force_exact_segments(cost, m + 1)) <= 1e-10 * scale
     # m + 1 contiguous nonempty segments covering 1..T, costs summing to the value
@@ -285,22 +285,25 @@ def test_switching_dp_matches_brute_force(case):
     assert abs(seg_total - value) <= 1e-10 * scale
     res = tracking_decomposition_from_losses(np.zeros(T), cost, np.zeros(T), m)
     assert res.best_sequence_loss == value
-    assert res.switch_times == tuple(s for s, _ in bounds[1:])
-    assert res.expert_indices == tuple(cols)
+    assert switch_times == tuple(s for s, _ in bounds[1:])
+    assert res.switch_times == switch_times
+    assert res.expert_indices == cols
 
 
 def test_switching_dp_tie_rule():
     # all columns tie: lowest-index columns, redundant segments first
-    value, bounds, cols = _segmented_min(np.ones((6, 3)), 3)
+    value, bounds, cols, switch_times = _best_switching(np.ones((6, 3)), 2)
     assert value == 6.0
     assert bounds == [(1, 1), (2, 2), (3, 6)]
-    assert cols == [0, 0, 0]
+    assert cols == (0, 0, 0)
+    assert switch_times == (2, 3)
     # one real switch, m = 2: the spare segment goes to the start
     cost = np.array([[0.0, 1.0]] * 3 + [[1.0, 0.0]] * 3)
-    value, bounds, cols = _segmented_min(cost, 3)
+    value, bounds, cols, switch_times = _best_switching(cost, 2)
     assert value == 0.0
     assert bounds == [(1, 1), (2, 3), (4, 6)]
-    assert cols == [0, 0, 1]
+    assert cols == (0, 0, 1)
+    assert switch_times == (2, 4)
 
 
 def test_tracking_decomposition_from_losses_validation():
@@ -314,6 +317,18 @@ def test_tracking_decomposition_from_losses_validation():
         tracking_decomposition_from_losses(*good, m=5)
     with pytest.raises(ValueError):
         tracking_decomposition_from_losses(*good, m=-1)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        tracking_decomposition_from_losses(*good, m=1.5)
+    with pytest.raises(ValueError, match="matrix"):
+        tracking_decomposition_from_losses(np.ones(5), np.ones(5), np.ones(5), m=0)
+    # a NaN cell used to crash the DP's backtracking with IndexError, and
+    # sums near the float limit overflowed with a warning
+    with pytest.raises(ValueError, match="expert losses are not all finite"):
+        tracking_decomposition_from_losses(np.ones(3), np.array([[1.0], [np.nan], [1.0]]),
+                                           np.ones(3), m=1)
+    with pytest.raises(ValueError, match="the loss sums overflow"):
+        tracking_decomposition_from_losses(np.full(3, 1e308), np.ones((3, 2)),
+                                           np.ones(3), m=1)
 
 
 def test_fixed_share_bound_hand_value():
