@@ -213,19 +213,21 @@ def _attraction_blend(theta, top, best, alpha):
 
 
 class ModelStack:
-    """Applies a fixed list of models to stacks of points of one shape.
+    """Moves points of one shape by a fixed list of models, in one pass.
 
     apply(thetas) moves row i by models[i]; images(points) moves every
-    point by every model.  Both equal the models' own apply bit for
-    bit.  Models that only move entries (shifts, identity, attraction with
-    alpha = 0) are one gather over the zero-padded stack: apply reads row
-    i through models[i]'s source index, and images reads every point
-    through every such model's, with a flat index it keeps for the next
-    call of the same length.  Attraction models share one
-    _attraction_targets call, whose [c, (k, a, b)] score layout and
-    lowest-index tie rule give each point the same c* as its lone apply,
-    and one broadcast blend with one alpha per model.  Any other model
-    calls its apply point by point.
+    point by every model.  apply is the pass's own-row case: model i reads
+    row i of a (N, 1, *shape) source, where in images every model reads
+    the one (1, B, *shape) source.  Both equal the models' own apply bit
+    for bit.  Models that only move entries (shifts, identity, attraction
+    with alpha = 0) are one gather over the zero-padded source, through a
+    read-only flat index; the stack keeps the last index of each kind, so
+    a pool builds apply's once and a run of equal chunks builds images'
+    once.  Attraction models share one _attraction_targets call on the
+    points they read, whose [c, (k, a, b)] score layout and lowest-index
+    tie rule give each point the same c* as its lone apply, and one
+    broadcast blend with one alpha per model.  Any other model calls its
+    apply point by point.
     """
 
     def __init__(self, models, shape):
@@ -238,18 +240,11 @@ class ModelStack:
         self._alphas = np.array([self.models[i].alpha for i in self._attraction])
         self._others = [i for i, ix in enumerate(self._sources)
                         if ix is None and i not in self._attraction]
-        # rows of images() that one gather fills, and their (G, size) sources
+        # models that one gather moves, and their (G, size) sources
         self._gathered = [i for i, ix in enumerate(self._sources) if ix is not None]
         self._table = (np.stack([self._sources[i] for i in self._gathered])
                        if self._gathered else None)
-        self._last_index = None  # images' gather index, see _image_index
-        self._index = None
-        if self._gathered:
-            # row k of the zero-padded stack starts at k * (size + 1); rows
-            # of other models are copied here and overwritten in apply
-            self._index = np.stack([
-                k * (self.size + 1) + (np.arange(self.size) if ix is None else ix)
-                for k, ix in enumerate(self._sources)])
+        self._indexes = {}  # own rows (apply) or not (images) -> gather index
 
     def _check(self, stack, rows):
         stack = np.asarray(stack, dtype=float)
@@ -261,51 +256,52 @@ class ModelStack:
 
     def apply(self, thetas):
         thetas = self._check(thetas, len(self.models))
-        if self._index is None:
-            out = np.empty_like(thetas)
-        else:
-            out = _padded(thetas).ravel()[self._index].reshape(thetas.shape)
-        if self._attraction:
-            rows = thetas[self._attraction]
-            top, best = _attraction_targets(rows)
-            out[self._attraction] = _attraction_blend(
-                rows, top, best, self._alphas[:, None, None])
-        for i in self._others:
-            out[i] = self.models[i].apply(thetas[i])
-        return out
+        return self._move(thetas[:, None]).reshape(thetas.shape)
 
     def images(self, points):
         """(N, B, *shape) stack whose [i, k] is models[i].apply(points[k])."""
-        points = self._check(points, None)
-        shape = (len(self.models),) + points.shape
+        return self._move(self._check(points, None)[None])
+
+    def _move(self, src):
+        """(N, B, *shape) stack of model i applied to point k of src[i] if
+        src holds a row per model (B = 1), else of src[0]."""
+        own = len(src) > 1
+        shape = (len(self.models),) + src.shape[1:]
         if self._gathered:
             # an index, not np.take: take copies a read-only index each call
-            moved = _padded(points).ravel()[self._image_index(len(points))]
+            index = self._gather_index(own, src.shape[1])
+            moved = _padded(src.reshape((-1,) + self.shape)).ravel()[index]
             if len(self._gathered) == len(self.models):
                 return moved.reshape(shape)
             out = np.empty(shape)
-            out[self._gathered] = moved.reshape((-1,) + points.shape)
+            out[self._gathered] = moved.reshape((-1,) + shape[1:])
         else:
             out = np.empty(shape)
         if self._attraction:
-            top, best = _attraction_targets(points)
+            points = src[self._attraction] if own else src
+            top, best = _attraction_targets(points.reshape((-1,) + self.shape))
             out[self._attraction] = _attraction_blend(
-                points, top, best, self._alphas[:, None, None, None])
+                points, top.reshape(points.shape), best.reshape(points.shape),
+                self._alphas[:, None, None, None])
         for i in self._others:
-            for k, point in enumerate(points):
+            for k, point in enumerate(src[i if own else 0]):
                 out[i, k] = self.models[i].apply(point)
         return out
 
-    def _image_index(self, n):
-        """Read-only (G, n, size) flat index into n zero-padded points:
+    def _gather_index(self, own, n):
+        """Read-only (G, n, size) flat index into the zero-padded source:
         entry [g, k, j] is where entry j of the image of point k under the
-        g-th gathered model lies.  The index of the last length asked for
-        is kept, so a run of equal chunks builds it once."""
-        if self._last_index is None or self._last_index.shape[1] != n:
-            index = self._table[:, None, :] + (np.arange(n) * (self.size + 1))[:, None]
+        g-th gathered model lies.  Row r of the source starts at
+        r * (size + 1); the model reads its own row (own, n = 1) or row k.
+        The last index of each kind is kept."""
+        index = self._indexes.get(own)
+        if index is None or index.shape[1] != n:
+            rows = (np.array(self._gathered)[:, None, None] if own
+                    else np.arange(n)[:, None])
+            index = self._table[:, None, :] + rows * (self.size + 1)
             index.flags.writeable = False
-            self._last_index = index
-        return self._last_index
+            self._indexes[own] = index
+        return index
 
     def chunk_length(self):
         """Points per images() call whose arrays take about 1 MB: the N

@@ -232,6 +232,8 @@ def cmd_audit_dynamics(args):
                                   boundary=opts["boundary"]):
             jobs.append((model, fset))
     if opts["model"] in ("attraction", "all"):
+        if opts["agents"] < 1:
+            raise ValueError(f"agents must be >= 1, got {opts['agents']}")
         fset = Box(-1.0, 1.0, shape=(opts["agents"], opts["agents"]))
         jobs.append((NetworkAttraction(opts["alpha"]), fset))
     if not jobs:

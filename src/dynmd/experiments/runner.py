@@ -155,7 +155,8 @@ def evaluate_run(result, m=0):
     """Regret curves, run-sampled bound curves, and the m-switch tracking
     decomposition for a run recorded against a comparator.  The models and
     the pool's one geometry and schedule come from the run's plan.  A
-    regret that overflows raises ValueError naming the round."""
+    regret or a subgradient norm that overflows raises ValueError naming
+    the round."""
     if result.comparator_losses is None:
         raise ValueError("the run was recorded without a comparator")
     T, n = result.expert_losses.shape
@@ -167,6 +168,13 @@ def evaluate_run(result, m=0):
     if bad.any():
         raise ValueError(f"the regret overflows at round t={int(np.argmax(bad)) + 1}")
     plan = result.final_state.plan
+    norms = np.column_stack([result.subgrad_norms, result.comparator_subgrad_norms])
+    if not np.isfinite(norms).all():
+        t, i = np.argwhere(~np.isfinite(norms))[0]
+        raise ValueError(
+            f"the subgradient norm overflows at round t={t + 1}, "
+            f"{(plan.names + ('comparator',))[i]}: the l1 weight tau or the "
+            "gradient is too large")
     deviations = model_deviations(result.comparator_points, plan.models.models)
     constants = []
     curves = np.empty((T, n))

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dynamics import DIRECTIONS
-from ..losses import least_squares
+from ..losses import CompositeLoss, L1Regularizer, LeastSquaresLoss
 
 STAY = 8  # trajectory direction code for "hold still"
 LOOKAHEAD = 2  # rounds whose sensing matrices are drawn ahead of the caller
@@ -68,6 +68,8 @@ class VideoScenario:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if self.measurements < 1:
             raise ValueError(f"measurements must be >= 1, got {self.measurements}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0 <= self.noise_std < math.inf):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.boundary not in ("clip", "wrap"):
@@ -196,11 +198,14 @@ class VideoData:
 
     def loss(self, t, tau=None):
         """Round-t data-fit objective with the scenario's default l1 weight;
-        its observation is A_t frame_{t-1} + noise_{t-1} (loss(t).f.x)."""
+        its observation is A_t frame_{t-1} + noise_{t-1} (loss(t).f.x).
+        The matrix is the program's own draw, so its entries are not checked
+        each round: a non-finite one surfaces as the run's non-finite loss
+        value, named with its round and expert."""
         tau = self.tau_default if tau is None else tau
         A = self.matrix(t)
         x = A @ self.frames[t - 1] + self.noise[t - 1]
-        return least_squares(A, x, tau=tau)
+        return CompositeLoss(LeastSquaresLoss(A, x), L1Regularizer(tau))
 
     def comparator(self):
         from ..regret import ComparatorSequence

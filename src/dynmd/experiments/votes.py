@@ -143,6 +143,8 @@ def synthetic_votes(n_agents=20, T=2000, drift_alpha=0.003, seed=0,
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     model = NetworkAttraction(drift_alpha)
     theta = rng.uniform(-init_scale, init_scale, size=(n_agents, n_agents))

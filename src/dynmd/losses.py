@@ -63,7 +63,12 @@ class L1Regularizer:
 
 
 class LeastSquaresLoss:
-    """f(theta) = 0.5 * ||x - A theta||^2 for one round's sensing pair (A, x)."""
+    """f(theta) = 0.5 * ||x - A theta||^2 for one round's sensing pair (A, x).
+
+    Only the shapes are checked here: least_squares() checks that a user's
+    A and x are finite, and a program that builds its own matrices builds
+    this directly.
+    """
 
     def __init__(self, A, x):
         A = np.asarray(A, dtype=float)
@@ -72,8 +77,6 @@ class LeastSquaresLoss:
             raise ValueError(f"A must be a matrix, got ndim={A.ndim}")
         if x.shape != (A.shape[0],):
             raise ValueError(f"x has shape {x.shape}, expected ({A.shape[0]},)")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(x))):
-            raise ValueError("A and x must be finite")
         self.A = A
         self.x = x
 
@@ -207,7 +210,12 @@ class CompositeLoss:
 
 
 def least_squares(A, x, tau=0.0):
-    return CompositeLoss(LeastSquaresLoss(A, x), L1Regularizer(tau))
+    """The composite least-squares loss of a user's sensing pair (A, x),
+    which must be finite."""
+    f = LeastSquaresLoss(A, x)
+    if not (np.all(np.isfinite(f.A)) and np.all(np.isfinite(f.x))):
+        raise ValueError("A and x must be finite")
+    return CompositeLoss(f, L1Regularizer(tau))
 
 
 def vote_pseudolikelihood(votes, tau=0.0):

@@ -202,6 +202,33 @@ def test_extreme_finite_parameters_are_clean_errors(tmp_path, capsys, recwarn,
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("command,named", [
+    (VIDEO_ARGS + ["--seed", "-1"], ["seed must be >= 0, got -1"]),
+    (VOTES_SMALL + ["--seed", "-1"], ["seed must be >= 0, got -1"]),
+    (["audit-dynamics", "--model", "attraction", "--agents", "0"],
+     ["agents must be >= 1, got 0"]),
+    (["audit-dynamics", "--model", "attraction", "--agents", "-1"],
+     ["agents must be >= 1, got -1"]),
+    (VIDEO_ARGS + ["--tau", "1e300"],
+     ["subgradient norm overflows at round t=1, comparator", "tau"]),
+    (VOTES_SMALL + ["--tau", "1e300"],
+     ["subgradient norm overflows at round t=1, comparator", "tau"]),
+], ids=["video-seed", "votes-seed", "agents-0", "agents-negative", "video-tau",
+        "votes-tau"])
+def test_option_errors_name_the_option(tmp_path, capsys, recwarn, command, named):
+    # each used to exit 2 with numpy's text, or fail late naming a bound
+    # constant instead of the option
+    out = tmp_path / "o"
+    argv = command + ([] if command[0] == "audit-dynamics" else ["--out", str(out)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for fragment in named:
+        assert fragment in err
+    assert not out.exists()
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--box-lo", "-inf"), ("--box-lo", "-1e300"), ("--box-lo", "-1E150"),
     ("--threshold", "-1e-3")])
@@ -342,6 +369,23 @@ def test_import_loads_no_scipy():
                          text=True, check=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "False"
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # seed-0 run-video under one and two OpenBLAS threads: every output file
+    # is the same byte for byte
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "dynmd.experiments.cli", "run-video",
+                        "--t", "60", "--out", str(out)],
+                       capture_output=True, check=True, timeout=300,
+                       env=dict(os.environ, PYTHONPATH=str(src),
+                                OPENBLAS_NUM_THREADS=threads))
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outs[0]) == ["losses.csv", "meta.txt", "regret.csv", "weights.csv"]
+    assert outs[0] == outs[1]
 
 
 # --- every option value ends in a run, a message, or an audit verdict ------

@@ -322,7 +322,7 @@ def test_model_stack_images_match_per_model_gather(codes, p, chunk, lengths, see
         diff = diff.reshape(len(models), len(path) - 1, -1)
         want = np.sqrt(np.einsum("nkj,nkj->kn", diff, diff))
         assert same_bits(model_deviations(path, models), want)
-    index = stack._last_index
+    index = stack._indexes.get(False)  # images' kept index
     assert (index is None) == (not stack._gathered)
     if index is not None:
         # read-only, and the stack's own: another stack keeps another
@@ -331,8 +331,8 @@ def test_model_stack_images_match_per_model_gather(codes, p, chunk, lengths, see
             index[...] = 0
         other = ModelStack(models, (p, p))
         other.images(points)
-        assert not np.shares_memory(other._last_index, index)
-        assert same_bits(other._last_index, index) == (len(points) == index.shape[1])
+        assert not np.shares_memory(other._indexes[False], index)
+        assert same_bits(other._indexes[False], index) == (len(points) == index.shape[1])
 
 
 def test_model_stack_images_gather_rows_in_place():
@@ -444,6 +444,33 @@ def test_attraction_models_match_two_gather_formula(thetas):
         for i, model in enumerate(pool):
             for k in range(n):
                 assert same_bits(images[i, k], want(model.alpha, thetas[k]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), thetas=attraction_stacks())
+def test_model_stack_apply_is_the_own_row_case_of_images(data, thetas):
+    # one row per model of a mixed list; then apply and images alternate at
+    # several lengths on one stack, which reuses or replaces each kept index
+    n, p, _ = thetas.shape
+    codes = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    models = [_mixed_model(code, p) for code in codes]
+    stack = ModelStack(models, (p, p))
+    with np.errstate(invalid="ignore"):  # 0 * inf scores are NaN
+        moved = stack.apply(thetas)
+        kept = stack._indexes.get(True)
+        images = stack.images(thetas)
+        for i, model in enumerate(models):
+            assert same_bits(moved[i], images[i, i])
+            assert same_bits(moved[i], model.apply(thetas[i]))
+        for length in data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4)):
+            assert same_bits(stack.apply(thetas), moved)
+            got = stack.images(thetas[:length])
+            for i, model in enumerate(models):
+                for k in range(length):
+                    assert same_bits(got[i, k], model.apply(thetas[k]))
+    # apply's index is built once; a lone model's apply is an image
+    assert stack._indexes.get(True) is kept
+    assert (kept is None) == (n == 1 or not stack._gathered)
 
 
 def test_network_attraction_small_p_has_no_candidates():

@@ -305,6 +305,27 @@ def test_matrices_handed_out_are_never_overwritten():
                               _sensing_matrix(data.scenario, t).view(np.uint64))
 
 
+def test_nonfinite_sensing_draw_is_named_by_the_run(monkeypatch):
+    # the program's own matrices are not checked each round: a NaN entry
+    # drawn for round 3 surfaces as that round's non-finite loss value
+    draw = video_module._draw_raw
+
+    def nan_at_round_3(scenario, t):
+        raw = draw(scenario, t)
+        if t == 3:
+            raw[0, 0] = np.nan
+        return raw
+
+    monkeypatch.setattr(video_module, "_draw_raw", nan_at_round_3)
+    data = generate_video(small_scenario(T=6))
+    geom, fset = SquaredEuclidean(1.0), Box(0.0, 1.0, shape=(data.n_pixels,))
+    sched = ConstantStep(0.3)
+    experts = [dmd_init(geom, fset, m, sched) for m in shift_family(8, 8)]
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite loss value at round t=3, expert 0 \(E\)$"):
+        run_scenario(data.loss, data.T, experts, comparator=data.comparator())
+
+
 def test_video_scenario_validation():
     with pytest.raises(ValueError):
         small_scenario(start_col=7)  # block would overhang
@@ -323,6 +344,8 @@ def test_video_scenario_validation():
     for noise_std in (-0.1, np.inf, np.nan):
         with pytest.raises(ValueError, match="^noise_std must be finite"):
             small_scenario(noise_std=noise_std)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        small_scenario(seed=-1)
     data = generate_video(small_scenario())
     with pytest.raises(ValueError):
         data.matrix(0)
@@ -397,6 +420,8 @@ def test_synthetic_votes_properties():
         synthetic_votes(init_scale=0.0)
     with pytest.raises(ValueError, match="sweeps"):
         synthetic_votes(n_agents=4, T=5, sweeps=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        synthetic_votes(n_agents=4, T=5, seed=-1)
     with pytest.raises(ValueError, match="burn_in"):
         synthetic_votes(n_agents=4, T=5, burn_in=-1)
     with pytest.raises(ValueError, match="n_agents"):

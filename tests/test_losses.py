@@ -81,8 +81,10 @@ def test_least_squares_shape_errors():
     loss = LeastSquaresLoss(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         loss.value(np.zeros(3))
-    with pytest.raises(ValueError):
-        LeastSquaresLoss(np.array([[np.inf, 0.0]]), np.zeros(1))
+    # a user's pair is checked for finite entries by least_squares()
+    for A, x in (([[np.inf, 0.0]], [0.0]), ([[1.0, 0.0]], [np.nan])):
+        with pytest.raises(ValueError, match="must be finite"):
+            least_squares(np.array(A), np.array(x))
 
 
 def test_ising_zero_matrix_value():
