@@ -109,7 +109,7 @@ class StepPlan:
 def require_finite(stack, layer, t, names):
     """Raise FloatingPointError naming the round, the first non-finite row of
     the stack (names[i] names row i) and the layer that produced it."""
-    if not np.all(np.isfinite(stack)):
+    if not np.isfinite(stack).all():
         ok = np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
         raise FloatingPointError(
             f"non-finite {layer} at round t={t}, {names[int(np.argmin(ok))]}")

@@ -221,13 +221,17 @@ class ModelStack:
     the one (1, B, *shape) source.  Both equal the models' own apply bit
     for bit.  Models that only move entries (shifts, identity, attraction
     with alpha = 0) are one gather over the zero-padded source, through a
-    read-only flat index; the stack keeps the last index of each kind, so
-    a pool builds apply's once and a run of equal chunks builds images'
-    once.  Attraction models share one _attraction_targets call on the
-    points they read, whose [c, (k, a, b)] score layout and lowest-index
-    tie rule give each point the same c* as its lone apply, and one
-    broadcast blend with one alpha per model.  Any other model calls its
-    apply point by point.
+    read-only flat index; apply pads only the rows of those models.  The
+    stack keeps the last index of each kind, so a pool builds apply's once
+    and a run of equal chunks builds images' once.  Attraction models
+    share one _attraction_targets call on the points they read, whose
+    [c, (k, a, b)] score layout and lowest-index tie rule give each point
+    the same c* as its lone apply, and one broadcast blend with one alpha
+    per model.  Any other model calls its apply point by point.  Each
+    group's rows are addressed by a slice when they are contiguous (a
+    pool of alpha = 0 and attraction experts is one gathered row, then
+    the attraction rows), so apply reads them as views and writes them
+    without a scatter.
     """
 
     def __init__(self, models, shape):
@@ -245,6 +249,8 @@ class ModelStack:
         self._table = (np.stack([self._sources[i] for i in self._gathered])
                        if self._gathered else None)
         self._indexes = {}  # own rows (apply) or not (images) -> gather index
+        self._gathered_rows = _rows(self._gathered)
+        self._attraction_rows = _rows(self._attraction)
 
     def _check(self, stack, rows):
         stack = np.asarray(stack, dtype=float)
@@ -270,17 +276,18 @@ class ModelStack:
         if self._gathered:
             # an index, not np.take: take copies a read-only index each call
             index = self._gather_index(own, src.shape[1])
-            moved = _padded(src.reshape((-1,) + self.shape)).ravel()[index]
+            read = src[self._gathered_rows] if own else src
+            moved = _padded(read.reshape((-1,) + self.shape)).ravel()[index]
             if len(self._gathered) == len(self.models):
                 return moved.reshape(shape)
             out = np.empty(shape)
-            out[self._gathered] = moved.reshape((-1,) + shape[1:])
+            out[self._gathered_rows] = moved.reshape((-1,) + shape[1:])
         else:
             out = np.empty(shape)
         if self._attraction:
-            points = src[self._attraction] if own else src
+            points = src[self._attraction_rows] if own else src
             top, best = _attraction_targets(points.reshape((-1,) + self.shape))
-            out[self._attraction] = _attraction_blend(
+            out[self._attraction_rows] = _attraction_blend(
                 points, top.reshape(points.shape), best.reshape(points.shape),
                 self._alphas[:, None, None, None])
         for i in self._others:
@@ -291,12 +298,13 @@ class ModelStack:
     def _gather_index(self, own, n):
         """Read-only (G, n, size) flat index into the zero-padded source:
         entry [g, k, j] is where entry j of the image of point k under the
-        g-th gathered model lies.  Row r of the source starts at
-        r * (size + 1); the model reads its own row (own, n = 1) or row k.
-        The last index of each kind is kept."""
+        g-th gathered model lies.  Row r of the padded source starts at
+        r * (size + 1); it holds the gathered models' own rows (own, n = 1),
+        where the g-th model reads row g, or the points, where it reads
+        row k.  The last index of each kind is kept."""
         index = self._indexes.get(own)
         if index is None or index.shape[1] != n:
-            rows = (np.array(self._gathered)[:, None, None] if own
+            rows = (np.arange(len(self._gathered))[:, None, None] if own
                     else np.arange(n)[:, None])
             index = self._table[:, None, :] + rows * (self.size + 1)
             index.flags.writeable = False
@@ -313,6 +321,14 @@ class ModelStack:
         if self._attraction:
             per_point = max(per_point, self.size * math.isqrt(self.size))
         return max(1, _SCRATCH_BYTES // (8 * per_point))
+
+
+def _rows(indices):
+    """Ascending model indices as a slice if they are contiguous, else as
+    an index array."""
+    if indices and indices[-1] - indices[0] == len(indices) - 1:
+        return slice(indices[0], indices[-1] + 1)
+    return np.array(indices, dtype=int)
 
 
 def _padded(stack):

@@ -24,7 +24,7 @@ the predictions passes the result in, so nothing is evaluated twice.  With
 one expert the round is bit-identical to dmd_step.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,5 +116,7 @@ def dfs_step(state, loss, evaluated=None):
     # so the same bits, without its per-call axis bookkeeping
     aggregated = np.dot(w.reshape(1, n), preds.reshape(n, -1)).reshape(preds.shape[1:])
     tilde, hat = advance(state.plan, loss, preds, grads, t)
-    new_state = replace(state, weights=w, theta_hat=hat, theta_tilde=tilde, t=t + 1)
+    new_state = FixedShareState(weights=w, eta_r=state.eta_r, lam=state.lam,
+                                theta_hat=hat, theta_tilde=tilde, t=t + 1,
+                                plan=state.plan)
     return new_state, aggregated, losses

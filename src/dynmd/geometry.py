@@ -16,7 +16,7 @@ import numpy as np
 
 def _as_array(p, name="point"):
     a = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite values")
     return a
 

@@ -116,16 +116,19 @@ class LeastSquaresLoss:
 class IsingPseudolikelihoodLoss:
     """Sum over agents of the logistic-conditional negative log likelihood.
 
-    votes is a length-p vector over {-1, 0, +1}; parameters are p x p
-    matrices with entries in [-1, 1] (domain-checked).  Evaluation is
-    overflow safe: log(1 + e^z) is computed as logaddexp(0, z).
+    votes is a length-p vector over {-1, 0, +1}, tested exactly as
+    sign(v) == v, which holds for -1, +-0 and +1 and for no other float
+    (NaN and +-inf included).  Parameters are p x p matrices with entries
+    in [-1, 1], checked by one max |theta| reduction that NaN and +-inf
+    also fail.  Evaluation is overflow safe: log(1 + e^z) is computed as
+    logaddexp(0, z).
     """
 
     def __init__(self, votes):
         v = np.asarray(votes, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("votes must be a non-empty vector")
-        if not np.all(np.isin(v, (-1.0, 0.0, 1.0))):
+        if not (np.sign(v) == v).all():
             raise ValueError("votes must take values in {-1, 0, +1}")
         self.votes = v
         self.p = v.size
@@ -136,9 +139,9 @@ class IsingPseudolikelihoodLoss:
         if theta.ndim != ndim or theta.shape[-2:] != (self.p, self.p):
             want = ("k", self.p, self.p) if stacked else (self.p, self.p)
             raise ValueError(f"theta has shape {theta.shape}, expected {want}")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
-        if np.abs(theta).max() > 1.0 + 1e-9:
+        if not np.abs(theta).max() <= 1.0 + 1e-9:  # false for NaN and inf too
+            if not np.isfinite(theta).all():
+                raise ValueError("theta must be finite")
             raise ValueError("theta entries must lie in [-1, 1]")
         return theta
 
@@ -152,8 +155,7 @@ class IsingPseudolikelihoodLoss:
         x = self.votes
         u = -2.0 * x * (1.0 - logistic(z))
         g = u[..., :, None] * x
-        idx = np.arange(self.p)
-        g[..., idx, idx] = u
+        np.einsum("...ii->...i", g)[...] = u
         return g
 
     def per_agent_values(self, theta):

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from conftest import central_diff, rel_err
@@ -206,6 +209,54 @@ def test_ising_domain_errors():
         IsingPseudolikelihoodLoss(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         IsingPseudolikelihoodLoss(np.zeros((2, 2)))
+
+
+_VOTE_FLOATS = (-1.0, -0.0, 0.0, 1.0, 0.5, -0.5, 2.0, -2.0,
+                math.nan, math.inf, -math.inf)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.sampled_from(_VOTE_FLOATS), st.floats()),
+                min_size=1, max_size=6))
+def test_ising_votes_domain_is_exactly_minus_one_zero_one(entries):
+    votes = np.array(entries, dtype=float)
+    if np.isin(votes, (-1.0, 0.0, 1.0)).all():
+        assert IsingPseudolikelihoodLoss(votes).p == len(entries)
+    else:
+        with pytest.raises(ValueError, match=re.escape("votes must take values in {-1, 0, +1}")):
+            IsingPseudolikelihoodLoss(votes)
+
+
+_ISING_CALLS = {
+    "value": lambda loss, theta: loss.value(theta),
+    "gradient": lambda loss, theta: loss.gradient(theta),
+    "per_agent_values": lambda loss, theta: loss.per_agent_values(theta),
+    "values_and_grads": lambda loss, theta: loss.values_and_grads(
+        np.stack([np.zeros_like(theta), theta])),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_ISING_CALLS))
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "theta must be finite"),
+    (math.inf, "theta must be finite"),
+    (-math.inf, "theta must be finite"),
+    (1.5, "theta entries must lie in [-1, 1]"),
+    (-1.5, "theta entries must lie in [-1, 1]"),
+])
+def test_ising_theta_errors_name_the_domain(call, bad, message):
+    loss = IsingPseudolikelihoodLoss(np.array([1.0, -1.0, 0.0]))
+    theta = np.full((3, 3), 0.25)
+    theta[2, 1] = bad
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _ISING_CALLS[call](loss, theta)
+    if bad == 1.5:  # a non-finite entry is named first
+        theta[0, 0] = math.nan
+        with pytest.raises(ValueError, match="theta must be finite"):
+            _ISING_CALLS[call](loss, theta)
+    else:  # the tolerance edge is inside the domain
+        theta[2, 1] = -1.0 - 1e-9
+        _ISING_CALLS[call](loss, theta)
 
 
 def test_l1_prox_frozen_example():
