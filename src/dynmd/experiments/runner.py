@@ -5,10 +5,10 @@ decomposition from those traces.
 The driver never stores predictions or sensing matrices; everything the
 evaluation needs (losses, norms, divergences to the comparator) is reduced
 to scalars while the run is in flight, so horizons in the thousands stay
-within a laptop's memory.  Each round evaluates the loss once, with one
-loss.values_and_grads call on the stacked expert predictions plus the
-comparator point; the traces, the comparator terms, the weight update and
-the mirror step all read that one result.
+within a laptop's memory.  Each round scores the N expert predictions and
+the comparator point, row N, with one loss.values_and_grads call; the
+per-point traces keep that layout as (T, K) columns, K = N + 1 (N without a
+comparator), and the weight update and the mirror step read that one result.
 """
 
 import math
@@ -36,15 +36,12 @@ def _row_norms(stack):
 class ScenarioResult:
     expert_labels: tuple
     weights: np.ndarray  # (T, N), the weights that formed each aggregate
-    expert_losses: np.ndarray  # (T, N)
     dfs_losses: np.ndarray  # (T,)
-    pred_norms: np.ndarray  # (T, N)
-    subgrad_norms: np.ndarray  # (T, N)
+    point_losses: np.ndarray  # (T, K): the N experts, then the comparator
+    point_norms: np.ndarray  # (T, K)
+    subgrad_norms: np.ndarray  # (T, K)
     comparator_points: np.ndarray  # (T + 1, *shape) or None
-    comparator_losses: np.ndarray  # (T,) or None
     comparator_divergences: np.ndarray  # (T, N) or None
-    comparator_subgrad_norms: np.ndarray  # (T,) or None
-    comparator_norms: np.ndarray  # (T,) or None
     agent_values: np.ndarray  # (T, p) or None
     final_state: object
     meta: dict
@@ -56,6 +53,18 @@ class ScenarioResult:
     @property
     def n_experts(self):
         return len(self.expert_labels)
+
+    @property
+    def expert_losses(self):
+        """(T, N) view of the experts' columns of point_losses."""
+        return self.point_losses[:, :self.n_experts]
+
+    @property
+    def comparator_losses(self):
+        """(T,) view of the comparator's column of point_losses, or None."""
+        if self.comparator_points is None:
+            return None
+        return self.point_losses[:, self.n_experts]
 
 
 def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
@@ -87,37 +96,31 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
         if not np.all(np.isfinite(pts)):
             raise ValueError("comparator contains non-finite points")
     labels = tuple(m.label for m in state.plan.models.models)
-    names = state.plan.names + ("comparator",)  # row n is the comparator
+    names = state.plan.names + ("comparator",)
+    k = n if pts is None else n + 1
     weights = np.empty((T, n))
-    expert_losses = np.empty((T, n))
     dfs_losses = np.empty(T)
-    pred_norms = np.empty((T, n))
-    subgrad_norms = np.empty((T, n))
-    comp_losses = np.empty(T) if pts is not None else None
-    comp_div = np.empty((T, n)) if pts is not None else None
-    comp_subgrad = np.empty(T) if pts is not None else None
-    comp_norms = np.empty(T) if pts is not None else None
+    point_losses = np.empty((T, k))
+    point_norms = np.empty((T, k))
+    subgrad_norms = np.empty((T, k))
+    comp_div = None if pts is None else np.empty((T, n))
     agent_values = None
     for t in range(1, T + 1):
         loss = losses(t)
         preds = state.theta_hat
-        points = preds if pts is None else np.concatenate([preds, pts[t - 1][None]])
+        points = preds
+        if pts is not None:  # row n is the comparator
+            points = np.concatenate([preds, pts[t - 1][None]])
+            with np.errstate(over="ignore"):  # theorem2_curve rejects an inf d_max
+                comp_div[t - 1] = state.plan.geom.divergences(pts[t - 1], preds)
         values, grads = loss.values_and_grads(points)
         require_finite(values, "loss value", t, names)
-        point_subgrad_norms = _row_norms(grads + loss.r.subgradient(points))
-        pred_norms[t - 1] = _row_norms(preds)
-        subgrad_norms[t - 1] = point_subgrad_norms[:n]
-        if pts is not None:
-            comp = pts[t - 1]
-            comp_losses[t - 1] = values[n]
-            comp_subgrad[t - 1] = point_subgrad_norms[n]
-            comp_norms[t - 1] = np.linalg.norm(np.ravel(comp))
-            with np.errstate(over="ignore"):  # theorem2_curve rejects an inf d_max
-                comp_div[t - 1] = state.plan.geom.divergences(comp, preds)
-        state, aggregated, losses_t = dfs_step(
+        point_losses[t - 1] = values
+        point_norms[t - 1] = _row_norms(points)
+        subgrad_norms[t - 1] = _row_norms(grads + loss.r.subgradient(points))
+        state, aggregated, _ = dfs_step(
             state, loss, evaluated=(values[:n], grads[:n]))
         weights[t - 1] = state.weights
-        expert_losses[t - 1] = losses_t
         per_agent_values = getattr(loss.f, "per_agent_values", None)
         if per_agent_values is None:
             dfs_losses[t - 1] = loss.value(aggregated)
@@ -131,13 +134,11 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
     meta = {"T": T, "n_experts": n, "lam": lam, "eta_r": eta_r,
             "labels": ",".join(labels)}
     return ScenarioResult(
-        expert_labels=labels, weights=weights, expert_losses=expert_losses,
-        dfs_losses=dfs_losses, pred_norms=pred_norms,
-        subgrad_norms=subgrad_norms,
-        comparator_points=pts, comparator_losses=comp_losses,
-        comparator_divergences=comp_div,
-        comparator_subgrad_norms=comp_subgrad, comparator_norms=comp_norms,
-        agent_values=agent_values, final_state=state, meta=meta)
+        expert_labels=labels, weights=weights, dfs_losses=dfs_losses,
+        point_losses=point_losses, point_norms=point_norms,
+        subgrad_norms=subgrad_norms, comparator_points=pts,
+        comparator_divergences=comp_div, agent_values=agent_values,
+        final_state=state, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -168,21 +169,20 @@ def evaluate_run(result, m=0):
     if bad.any():
         raise ValueError(f"the regret overflows at round t={int(np.argmax(bad)) + 1}")
     plan = result.final_state.plan
-    norms = np.column_stack([result.subgrad_norms, result.comparator_subgrad_norms])
-    if not np.isfinite(norms).all():
-        t, i = np.argwhere(~np.isfinite(norms))[0]
+    if not np.isfinite(result.subgrad_norms).all():
+        t, i = np.argwhere(~np.isfinite(result.subgrad_norms))[0]
         raise ValueError(
             f"the subgradient norm overflows at round t={t + 1}, "
             f"{(plan.names + ('comparator',))[i]}: the l1 weight tau or the "
             "gradient is too large")
     deviations = model_deviations(result.comparator_points, plan.models.models)
+    g = result.subgrad_norms.max(axis=0)  # column n is the comparator's
+    r = result.point_norms.max(axis=0)
     constants = []
     curves = np.empty((T, n))
     for i in range(n):
         consts = BoundConstants.from_samples(
-            plan.geom,
-            (result.subgrad_norms[:, i].max(), result.comparator_subgrad_norms.max()),
-            (result.pred_norms[:, i].max(), result.comparator_norms.max()),
+            plan.geom, (g[i], g[n]), (r[i], r[n]),
             result.comparator_divergences[:, i])
         constants.append(consts)
         curves[:, i] = theorem2_curve(consts, plan.schedule, deviations[:, i])

@@ -156,13 +156,21 @@ def theorem2_curve(constants, schedule, deviations):
     deviations holds the per-step comparator deviations ||theta_{s+1} -
     Phi(theta_s)||, and V_Phi(t) is their sum over s <= t.  A bound that is
     not finite (a step size near 0, huge constants) raises ValueError
-    naming the first such round.
+    naming the first such round.  The telescoping over 1/eta_t needs a
+    non-increasing schedule: a step size that rises raises ValueError
+    naming the first round where it does and both step sizes.
     """
     dev = np.asarray(deviations, dtype=float)
     if dev.ndim != 1 or dev.size == 0 or np.any(dev < 0):
         raise ValueError("deviations must be a nonempty vector of norms >= 0")
     T = dev.shape[0]
     etas = schedule.etas(T + 1)
+    rises = etas[1:] > etas[:-1]
+    if rises.any():
+        t = int(np.argmax(rises)) + 2
+        raise ValueError(f"the step size rises at round t={t}: eta_{t - 1}="
+                         f"{float(etas[t - 2])!r} < eta_{t}={float(etas[t - 1])!r}; "
+                         "Theorem 2 needs a non-increasing schedule")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         curve = (constants.d_max / etas[1:]
                  + 4.0 * constants.big_m / etas[:T] * np.cumsum(dev)
@@ -252,6 +260,7 @@ def moving_average(values, window=30):
     v = np.asarray(values, dtype=float)
     if int(window) != window or window < 1:
         raise ValueError(f"window must be an integer >= 1, got {window}")
+    window = int(window)
     c = np.concatenate([[0.0], np.cumsum(v)])
     t = np.arange(1, v.shape[0] + 1)
     lo = np.maximum(t - window, 0)

@@ -557,6 +557,18 @@ def test_run_scenario_traces_and_validation():
         assert result.comparator_losses[t - 1] == pytest.approx(
             loss.value(data.frames[t - 1]), rel=1e-12, abs=0.0)
     assert np.all(result.comparator_divergences >= 0.0)
+    # one per-point record: the 9 experts' columns, then the comparator's
+    assert result.point_losses.shape == (8, 10)
+    assert result.point_norms.shape == result.subgrad_norms.shape == (8, 10)
+    assert np.array_equal(result.expert_losses, result.point_losses[:, :9])
+    assert np.array_equal(result.comparator_losses, result.point_losses[:, 9])
+    want = [np.linalg.norm(frame) for frame in data.frames[:8]]
+    assert np.allclose(result.point_norms[:, 9], want, rtol=1e-12, atol=0.0)
+    bare = run_scenario(data.loss, data.T, experts, lam=0.1)
+    assert bare.point_losses.shape == bare.point_norms.shape == (8, 9)
+    assert bare.subgrad_norms.shape == (8, 9)
+    assert bare.comparator_losses is None
+    assert np.array_equal(bare.expert_losses, bare.point_losses)
     with pytest.raises(ValueError):
         run_scenario(data.loss, data.T, experts, comparator=data.frames[:4])
 

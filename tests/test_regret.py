@@ -14,6 +14,7 @@ from dynmd import (
     DoublingStep,
     IdentityModel,
     PixelShift,
+    StepSchedule,
     best_segmentation,
     cumulative_regret,
     fixed_share_bound,
@@ -200,6 +201,29 @@ def test_theorem2_bound_frozen_example():
         theorem2_curve(consts, ConstantStep(0.5), np.zeros(0))
 
 
+def test_theorem2_curve_rejects_a_rising_step_size():
+    # the 1/eta_t telescoping fails when eta rises; unchecked, eta(t) = 0.1 t
+    # gives a "bound" that falls from 20.05 to 8.5 over the 4 rounds
+    class Rising(StepSchedule):
+        def eta(self, t):
+            return 0.1 * self._check_t(t)
+
+    consts = BoundConstants(g_ell=1.0, big_m=1.0, d_max=4.0, sigma=1.0)
+    with pytest.raises(ValueError, match=r"rises at round t=2: eta_1=0\.1 < "
+                       r"eta_2=0\.2"):
+        theorem2_curve(consts, Rising(), np.zeros(4))
+
+    # the check reads eta_{T+1} too: a rise right after the horizon counts
+    class LateRise(StepSchedule):
+        def eta(self, t):
+            return 0.5 if self._check_t(t) <= 3 else 1.0
+
+    with pytest.raises(ValueError, match=r"rises at round t=4: eta_3=0\.5 < "
+                       r"eta_4=1\.0"):
+        theorem2_curve(consts, LateRise(), np.zeros(3))
+    assert theorem2_curve(consts, LateRise(), np.zeros(2)).shape == (2,)
+
+
 def test_theorem2_curve_matches_per_prefix_bounds():
     rng = np.random.default_rng(103)
     consts = BoundConstants(g_ell=1.2, big_m=0.8, d_max=2.5, sigma=2.0)
@@ -356,6 +380,8 @@ def test_moving_average_oracle():
         lo = max(t - 6, 0)
         assert got[t] == pytest.approx(v[lo:t + 1].mean(), abs=1e-12)
     assert np.allclose(moving_average(v, window=1), v, rtol=0, atol=1e-12)
+    # an integral float window is the same window
+    assert np.array_equal(moving_average(v, window=2.0), moving_average(v, window=2))
     with pytest.raises(ValueError):
         moving_average(v, window=0)
     with pytest.raises(ValueError):
