@@ -20,7 +20,7 @@ import numpy as np
 from ..dmd import dmd_init
 from ..dynamics import NetworkAttraction, shift_family
 from ..fixedshare import default_lambda
-from ..geometry import Box, ConstantStep, DoublingStep, SquaredEuclidean
+from ..geometry import Box, DoublingStep, SquaredEuclidean
 from ..regret import tracking_decomposition_from_losses
 from .config import parse_bool, parse_config, parse_floats, parse_trajectory
 from .runner import (
@@ -41,18 +41,16 @@ VIDEO_DEFAULTS = {
     "trajectory": "1:0", "t": 200, "measurements": 100, "noise_std": 0.05,
     "seed": 0, "boundary": "clip", "identity_sensing": False,
     "model_boundary": "zero", "tau": -1.0, "c": 1.0, "box_lo": 0.0,
-    "box_hi": 1.0, "reg_period": 1, "eta_kind": "doubling",
-    "eta_horizon0": 32, "eta_growth": 2.0, "eta_scale": 0.5,
-    "eta_const": 0.1, "lam": -1.0, "eta_r": -1.0, "m": 1, "out": "out-video",
+    "box_hi": 1.0, "reg_period": 1, "eta_horizon0": 32, "eta_growth": 2.0,
+    "eta_scale": 0.5, "lam": -1.0, "eta_r": -1.0, "m": 1, "out": "out-video",
 }
 
 VOTES_DEFAULTS = {
     "votes": "", "agents": 20, "t": 2000, "drift_alpha": 0.003, "seed": 0,
     "sweeps": 4, "missing_prob": 0.0, "init_scale": 0.5,
     "alphas": "0,0.001,0.002,0.003,0.004", "tau": 0.1, "c": 0.5,
-    "reg_period": 10, "eta_kind": "doubling", "eta_horizon0": 10,
-    "eta_growth": 10.0, "eta_scale": 1.0, "eta_const": 0.1, "lam": -1.0,
-    "eta_r": -1.0, "m": 3, "out": "out-votes",
+    "reg_period": 10, "eta_horizon0": 10, "eta_growth": 10.0, "eta_scale": 1.0,
+    "lam": -1.0, "eta_r": -1.0, "m": 3, "out": "out-votes",
 }
 
 AUDIT_DEFAULTS = {
@@ -80,27 +78,20 @@ def _config_flags(args):
     return [f"--{key.replace('_', '-')}={value}" for key, value in config.items()]
 
 
-def _make_schedule(opts):
-    kind = opts["eta_kind"]
-    if kind == "constant":
-        return ConstantStep(opts["eta_const"])
-    if kind == "doubling":
-        return DoublingStep(opts["eta_horizon0"], opts["eta_growth"],
-                            opts["eta_scale"])
-    raise ValueError(f"eta_kind must be 'constant' or 'doubling', got {kind!r}")
-
-
 def _run_pool(opts, losses, T, fset, models, comparator):
     """Track the loss stream with one DMD expert per model, pooled by
     fixed share.  Returns the run and, when there is a comparator, its
     evaluation (None otherwise)."""
     geom = SquaredEuclidean(opts["c"])
-    schedule = _make_schedule(opts)
+    schedule = DoublingStep(opts["eta_horizon0"], opts["eta_growth"],
+                            opts["eta_scale"])
     experts = [dmd_init(geom, fset, model, schedule,
                         reg_period=opts["reg_period"]) for model in models]
-    # only a negative lam or a nonpositive eta_r selects the default, so NaN
+    # default_lambda checks m before the run even when lam is given; only a
+    # negative lam or a nonpositive eta_r selects the default, so NaN
     # reaches fixed_share_init's checks
-    lam = default_lambda(opts["m"], T) if opts["lam"] < 0 else opts["lam"]
+    default_lam = default_lambda(opts["m"], T)
+    lam = default_lam if opts["lam"] < 0 else opts["lam"]
     eta_r = None if opts["eta_r"] <= 0 else opts["eta_r"]
     result = run_scenario(losses, T, experts, lam=lam, eta_r=eta_r,
                           comparator=comparator)
@@ -144,11 +135,11 @@ def cmd_run_video(args):
     fset = Box(opts["box_lo"], opts["box_hi"], shape=(data.n_pixels,))
     models = shift_family(opts["rows"], opts["cols"],
                           boundary=opts["model_boundary"])
-    tau = None if opts["tau"] < 0 else opts["tau"]
+    tau = data.tau_default if opts["tau"] < 0 else opts["tau"]
     result, evaluation = _run_pool(opts, lambda t: data.loss(t, tau=tau),
                                    data.T, fset, models, data.comparator())
     _write_outputs(opts["out"], result, evaluation, {
-        "tau": f"{data.tau_default if tau is None else tau:.6g}",
+        "tau": f"{tau:.6g}",
         "clipped_steps": len(data.clipped_steps),
         "scenario": repr(scenario),
     })
@@ -159,6 +150,12 @@ def cmd_run_video(args):
 
 def cmd_run_votes(args):
     opts = vars(args)
+    models = [NetworkAttraction(a) for a in parse_floats(opts["alphas"])]
+    labels = [model.label for model in models]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"alphas {opts['alphas']!r} repeat the expert "
+                             f"label {label!r}")
     comparator = None
     if opts["votes"]:
         stream = load_votes(opts["votes"])
@@ -170,7 +167,6 @@ def cmd_run_votes(args):
             seed=opts["seed"], sweeps=opts["sweeps"],
             missing_prob=opts["missing_prob"], init_scale=opts["init_scale"])
     p = stream.n_agents
-    models = [NetworkAttraction(a) for a in parse_floats(opts["alphas"])]
     result, evaluation = _run_pool(
         opts, lambda t: stream.loss(t, tau=opts["tau"]), T,
         Box(-1.0, 1.0, shape=(p, p)), models, comparator)

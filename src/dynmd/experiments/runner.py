@@ -255,6 +255,9 @@ def read_losses_csv(path):
         if not header:
             raise ValueError(f"{path}: empty file")
         names = header.split(",")
+        for j, name in enumerate(names):
+            if name in names[:j]:
+                raise ValueError(f"{path}: column {name!r} repeats")
         rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()

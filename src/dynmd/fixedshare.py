@@ -88,8 +88,9 @@ def dfs_step(state, loss, evaluated=None):
     """Advance one round; returns (new state, aggregated prediction, expert losses).
 
     evaluated, when given, is loss.values_and_grads at the stacked expert
-    predictions (their composite losses and f-gradients); it is computed
-    here otherwise.  A non-finite loss, gradient or step raises
+    predictions (their composite losses and f-gradients), with the losses
+    already checked finite by the caller; it is computed and checked here
+    otherwise.  A non-finite loss, gradient or step raises
     FloatingPointError naming the round, the expert and the layer; an eta_r
     so large that it overflows every log weight raises ValueError.
     """
@@ -97,8 +98,8 @@ def dfs_step(state, loss, evaluated=None):
     preds = state.theta_hat
     if evaluated is None:
         evaluated = loss.values_and_grads(preds)
+        require_finite(evaluated[0], "loss value", t, state.plan.names)
     losses, grads = evaluated
-    require_finite(losses, "loss value", t, state.plan.names)
     # a zero weight is a valid -inf log weight; an overflow is checked below
     with np.errstate(divide="ignore", over="ignore"):
         logw = np.log(state.weights) - state.eta_r * losses

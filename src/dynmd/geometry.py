@@ -238,24 +238,6 @@ class StepSchedule:
         return np.array([self.eta(t) for t in range(1, T + 1)])
 
 
-class ConstantStep(StepSchedule):
-    def __init__(self, eta):
-        if not (0 < eta < math.inf):
-            raise ValueError(f"eta must be positive and finite, got {eta}")
-        self._eta = float(eta)
-
-    def eta(self, t):
-        self._check_t(t)
-        return self._eta
-
-    def etas(self, T):
-        T = self._check_t(T)
-        return np.full(T, self._eta)
-
-    def __repr__(self):
-        return f"ConstantStep(eta={self._eta})"
-
-
 class DoublingStep(StepSchedule):
     """Horizon-doubling schedule.
 
@@ -263,7 +245,8 @@ class DoublingStep(StepSchedule):
     k = 0, 1, 2, ...; within the segment containing t the step size is
     scale / sqrt(segment length).  growth > 1 makes eta(t) non-increasing
     overall; a fresh segment resets the step size while learner state
-    carries over.
+    carries over.  growth = 1 is the constant step scale / sqrt(horizon0),
+    so DoublingStep(1, 1, eta) is ConstantStep(eta).
     """
 
     def __init__(self, horizon0, growth=2.0, scale=1.0):
@@ -300,6 +283,8 @@ class DoublingStep(StepSchedule):
 
     def etas(self, T):
         T = self._check_t(T)
+        if self.growth == 1.0:
+            return np.full(T, self.scale / math.sqrt(self.horizon0))
         out = np.empty(T)
         lo = 0
         for end, seg_len in self._segments(T):
@@ -310,6 +295,18 @@ class DoublingStep(StepSchedule):
     def __repr__(self):
         return (f"DoublingStep(horizon0={self.horizon0}, growth={self.growth}, "
                 f"scale={self.scale})")
+
+
+class ConstantStep(DoublingStep):
+    """eta(t) = eta for every t: DoublingStep(1, 1, eta)."""
+
+    def __init__(self, eta):
+        if not (0 < eta < math.inf):
+            raise ValueError(f"eta must be positive and finite, got {eta}")
+        DoublingStep.__init__(self, 1, 1.0, eta)
+
+    def __repr__(self):
+        return f"ConstantStep(eta={self.scale})"
 
 
 @dataclass(frozen=True)

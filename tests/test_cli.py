@@ -12,13 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynmd.experiments import read_losses_csv
+import dynmd.experiments.cli as cli
+from dynmd import Box, ConstantStep, NetworkAttraction, SquaredEuclidean, dmd_init
+from dynmd.experiments import read_losses_csv, run_scenario, synthetic_votes
 from dynmd.experiments.cli import AUDIT_DEFAULTS, VIDEO_DEFAULTS, VOTES_DEFAULTS, main
 
 VIDEO_ARGS = ["run-video", "--rows", "8", "--cols", "8", "--block-size", "2",
               "--start-row", "3", "--start-col", "0",
               "--trajectory", "1:0,6:6", "--t", "10", "--measurements", "20",
               "--eta-horizon0", "4", "--m", "1"]
+# a constant step eta is the growth-1 doubling schedule: append eta's value
+CONSTANT_STEP = ["--eta-horizon0", "1", "--eta-growth", "1", "--eta-scale"]
 
 
 def test_run_video_writes_outputs(tmp_path, capsys):
@@ -52,8 +56,8 @@ def test_run_video_flags_override_config(tmp_path):
 
 def test_config_lines_are_read_as_flags(tmp_path, capsys):
     # each line is coerced as its flag is: the same files as the typed flags
-    options = {"seed": "3", "eta_kind": "constant", "eta_const": "0.2",
-               "box_lo": "-1"}
+    # (VIDEO_ARGS types --eta-horizon0, which would beat a config line)
+    options = {"seed": "3", "eta_growth": "1", "eta_scale": "0.2", "box_lo": "-1"}
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\n\n" + "".join(f"{k} = {v}\n" for k, v in options.items()))
     flags = [tok for k, v in options.items() for tok in ("--" + k.replace("_", "-"), v)]
@@ -108,6 +112,23 @@ def test_run_votes_synthetic(tmp_path, capsys):
     assert sum(1 for k in agents if k.startswith("agent_")) == 6
 
 
+@pytest.mark.parametrize("alphas,label", [
+    ("0,0", "alpha=0"), ("0.001,0.0010000001", "alpha=0.001")],
+    ids=["equal", "equal-under-g"])
+def test_run_votes_rejects_repeated_expert_labels(tmp_path, capsys, monkeypatch,
+                                                  alphas, label):
+    # two experts under one label used to write two columns of one name,
+    # and read_losses_csv then kept only the last
+    def no_stream(**kwargs):
+        raise AssertionError("the stream was drawn")
+    monkeypatch.setattr(cli, "synthetic_votes", no_stream)
+    out = tmp_path / "vv"
+    assert main(["run-votes", "--alphas", alphas, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alphas ") and f"label {label!r}" in err
+    assert not out.exists()
+
+
 def test_run_votes_rejects_bad_gibbs_sweeps(tmp_path, capsys):
     for sweeps in ("0", "-1"):
         assert main(["run-votes", "--agents", "4", "--t", "5", "--sweeps",
@@ -146,11 +167,9 @@ def test_nonfinite_pool_params_are_clean_errors(tmp_path, capsys, recwarn,
     (VIDEO_ARGS + ["--eta-scale", "nan"], "scale"),
     (["run-votes", "--agents", "4", "--t", "5", "--sweeps", "1", "--c", "inf"],
      "scale"),
-    (VIDEO_ARGS + ["--eta-kind", "constant", "--eta-const", "inf"], "eta"),
     (VIDEO_ARGS + ["--noise-std", "inf"], "noise_std"),
     (VIDEO_ARGS + ["--noise-std", "nan"], "noise_std"),
-], ids=["eta-growth", "eta-scale", "c", "eta-const", "noise-std-inf",
-        "noise-std-nan"])
+], ids=["eta-growth", "eta-scale", "c", "noise-std-inf", "noise-std-nan"])
 def test_nonfinite_parameters_name_themselves(tmp_path, capsys, recwarn,
                                               command, name):
     # each used to crash, warn, or fail later under another name
@@ -171,7 +190,7 @@ VOTES_SMALL = ["run-votes", "--agents", "6", "--t", "5", "--sweeps", "1"]
     (VIDEO_ARGS + ["--eta-growth", "1e308"], ["growth=1e+308", "segment 1"]),
     (VOTES_SMALL + ["--c", "1e308"], ["round t=1", "expert 0", "eta_t=", "c=1e+308"]),
     (VIDEO_ARGS + ["--eta-scale", "1e-320"], ["round t=1", "eta_t="]),
-    (VOTES_SMALL + ["--eta-kind", "constant", "--eta-const", "1e-320"],
+    (VOTES_SMALL + CONSTANT_STEP + ["1e-320"],
      ["round t=1", "eta_t=1e-320"]),
     (VIDEO_ARGS + ["--eta-r", "1e308"], ["round t=1", "eta_r=1e+308", "smallest loss"]),
     (VOTES_SMALL + ["--eta-r", "1e308"], ["round t=1", "eta_r=1e+308", "smallest loss"]),
@@ -182,12 +201,12 @@ VOTES_SMALL = ["run-votes", "--agents", "6", "--t", "5", "--sweeps", "1"]
      ["the regret overflows at round t=2"]),
     (VIDEO_ARGS + ["--box-lo", "1e308", "--box-hi", "1e308"],
      ["loss value", "round t=1", "expert 0"]),
-    (VIDEO_ARGS + ["--eta-kind", "constant", "--eta-const", "1e308"],
+    (VIDEO_ARGS + CONSTANT_STEP + ["1e308"],
      ["non-finite step", "round t=2", "expert 0"]),
 ], ids=["eta-growth-overflows", "c-underflows-prox", "eta-scale-subnormal",
-        "eta-const-subnormal", "video-eta-r", "votes-eta-r", "noise-std",
+        "constant-eta-subnormal", "video-eta-r", "votes-eta-r", "noise-std",
         "video-tau", "votes-tau", "regret-overflows", "box-at-1e308",
-        "eta-const-overflows-step"])
+        "constant-eta-overflows-step"])
 def test_extreme_finite_parameters_are_clean_errors(tmp_path, capsys, recwarn,
                                                     command, named):
     # each used to crash with OverflowError, warn and blame kappa or another
@@ -268,6 +287,46 @@ def test_bad_boolean_flag_names_the_value(capsys):
     assert "'maybe'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [VIDEO_ARGS, VOTES_SMALL],
+                         ids=["video", "votes"])
+def test_m_is_checked_before_the_run(tmp_path, capsys, monkeypatch, command):
+    # with lam given, m used to be checked only by the evaluation after
+    # every round had run
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    out = tmp_path / "o"
+    assert main(command + ["--lam", "0.1", "--m", "500", "--out", str(out)]) == 2
+    assert "m must be < T" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_growth_one_flags_run_the_constant_step(tmp_path, monkeypatch):
+    runs = []
+
+    def recorded_run(*args, **kwargs):
+        runs.append(run_scenario(*args, **kwargs))
+        return runs[-1]
+    monkeypatch.setattr(cli, "run_scenario", recorded_run)
+    T, alphas = 40, (0.0, 0.01, 0.05)
+    assert main(["run-votes", "--agents", "6", "--t", str(T), "--sweeps", "1",
+                 "--alphas", ",".join(map(str, alphas)), "--m", "2",
+                 "--out", str(tmp_path / "vv")] + CONSTANT_STEP + ["0.2"]) == 0
+    (got,) = runs
+    opts = VOTES_DEFAULTS
+    stream, comparator = synthetic_votes(
+        n_agents=6, T=T, drift_alpha=opts["drift_alpha"], seed=opts["seed"],
+        sweeps=1, missing_prob=opts["missing_prob"], init_scale=opts["init_scale"])
+    geom, fset = SquaredEuclidean(opts["c"]), Box(-1.0, 1.0, shape=(6, 6))
+    schedule = ConstantStep(0.2)
+    experts = [dmd_init(geom, fset, NetworkAttraction(a), schedule,
+                        reg_period=opts["reg_period"]) for a in alphas]
+    want = run_scenario(lambda t: stream.loss(t, tau=opts["tau"]), T, experts,
+                        lam=2 / T, comparator=comparator)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.dfs_losses, want.dfs_losses)
+
+
 def test_run_votes_from_file_has_no_comparator(tmp_path):
     votes = tmp_path / "votes.csv"
     rng = np.random.default_rng(0)
@@ -275,8 +334,7 @@ def test_run_votes_from_file_has_no_comparator(tmp_path):
     votes.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
     out = tmp_path / "vv"
     assert main(["run-votes", "--votes", str(votes), "--alphas", "0,0.01",
-                 "--eta-kind", "constant", "--eta-const", "0.2",
-                 "--m", "1", "--out", str(out)]) == 0
+                 "--m", "1", "--out", str(out)] + CONSTANT_STEP + ["0.2"]) == 0
     assert not (out / "regret.csv").exists()
     table = read_losses_csv(out / "losses.csv")
     assert "comparator" not in table
@@ -307,6 +365,14 @@ def test_eval_regret_zero_baseline(tmp_path, capsys):
     assert "zero baseline" in text
     assert "best 1-switch expert sequence loss: 1.25" in text
     assert "['a', 'b']" in text
+
+
+def test_eval_regret_rejects_repeated_columns(tmp_path, capsys):
+    # a dict of columns kept only the last of two, so the table lost an expert
+    path = tmp_path / "losses.csv"
+    path.write_text("t,dfs,expert_alpha=0,expert_alpha=0\n1,1,1,2\n2,1,1,2\n")
+    assert main(["eval-regret", "--losses", str(path), "--m", "0"]) == 2
+    assert "column 'expert_alpha=0' repeats" in capsys.readouterr().err
 
 
 def test_eval_regret_missing_columns(tmp_path, capsys):
@@ -352,7 +418,7 @@ def test_divergent_run_is_a_clean_error(tmp_path, capsys):
     # squared residual overflows, which must end in exit 2, not a traceback
     out = tmp_path / "ov"
     code = main(VIDEO_ARGS + ["--box-lo=-1e300", "--box-hi", "1e300",
-                              "--eta-kind", "constant", "--eta-const", "1e30",
+                              *CONSTANT_STEP, "1e30",
                               "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2

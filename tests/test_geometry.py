@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynmd import (
     Ball,
@@ -196,6 +198,16 @@ def test_constant_schedule():
         sched.eta(0)
     with pytest.raises(ValueError):
         ConstantStep(0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(eta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       t=st.integers(1, 10 ** 7), T=st.integers(1, 300))
+def test_constant_step_is_doubling_step_with_growth_one(eta, t, T):
+    const, doubling = ConstantStep(eta), DoublingStep(1, 1, eta)
+    assert const.eta(t) == doubling.eta(t) == eta
+    assert const.etas(T).tobytes() == doubling.etas(T).tobytes()
+    assert const.etas(T).tobytes() == np.full(T, eta).tobytes()
 
 
 def test_doubling_schedule_frozen_table():
