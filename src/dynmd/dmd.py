@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import IdentityModel, ModelStack
-from .geometry import Ball
+from .geometry import Ball, _as_integer
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,14 @@ class DmdState:
 
 
 def dmd_init(geom, fset, model, schedule, reg_period=1, theta0=None):
-    if int(reg_period) != reg_period or reg_period < 1:
-        raise ValueError(f"reg_period must be an integer >= 1, got {reg_period}")
+    reg_period = _as_integer(reg_period, "reg_period", 1)
     if theta0 is None:
         theta0 = fset.project(np.zeros(fset.shape))
     else:
         theta0 = np.asarray(theta0, dtype=float)
         if not fset.contains(theta0):
             raise ValueError("theta0 lies outside the feasible set")
-    plan = StepPlan(geom, fset, schedule, int(reg_period), (model,), theta0.shape)
+    plan = StepPlan(geom, fset, schedule, reg_period, (model,), theta0.shape)
     return DmdState(theta0.copy(), theta0.copy(), 1, plan)
 
 
@@ -120,9 +119,9 @@ def advance(plan, loss, thetas, grads, t):
 
     thetas is the (N, *shape) stack of predictions and grads the stack of
     f-gradients there.  Returns the (theta_tilde, theta_hat) stacks of the
-    next round.  Non-finite gradients or steps raise FloatingPointError
-    naming the round, expert and layer; a step size that underflows the
-    prox weight to 0 raises ValueError.
+    next round.  Non-finite gradients, steps or model images raise
+    FloatingPointError naming the round, expert and layer; a step size
+    that underflows the prox weight to 0 raises ValueError.
     """
     require_finite(grads, "gradient", t, plan.names)
     kappa = plan.schedule.eta(t) / (2.0 * plan.geom.scale)
@@ -141,7 +140,9 @@ def advance(plan, loss, thetas, grads, t):
                 "project(soft_threshold(v)) is exact only for balls centred at 0")
         v = loss.prox_r(v, kappa)
     tildes = plan.fset.project(v)
-    return tildes, plan.models.apply(tildes)
+    hats = plan.models.apply(tildes)
+    require_finite(hats, "model image", t, plan.names)
+    return tildes, hats
 
 
 def dmd_step(state, loss):

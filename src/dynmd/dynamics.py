@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _as_integer
+
 # compass directions for angles 2*pi*i/8, i = 0..7; rows grow downward so
 # the row displacement is minus the sine
 DIRECTIONS = (
@@ -391,8 +393,7 @@ def audit_contraction(model, geom, fset, n_pairs=1000, seed=0, threshold=1e-10):
     fixed seed.  The pairs are moved ModelStack.chunk_length() at a time,
     so scratch memory stays near 1 MB whatever n_pairs is.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    n_pairs = _as_integer(n_pairs, "n_pairs", 1)
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     rng = np.random.default_rng(seed)

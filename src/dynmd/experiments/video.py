@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dynamics import DIRECTIONS
+from ..geometry import _as_integer
 from ..losses import CompositeLoss, L1Regularizer, LeastSquaresLoss
 
 STAY = 8  # trajectory direction code for "hold still"
@@ -82,8 +83,8 @@ class VideoScenario:
         starts = [s for s, _ in legs]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("leg start rounds must be strictly increasing")
-        if any(int(s) != s or s < 1 or s > self.T for s, _ in legs):
-            raise ValueError(f"leg starts must be integers in [1, {self.T}]")
+        if any(_as_integer(s, "a leg start", 1) > self.T for s, _ in legs):
+            raise ValueError(f"leg starts must lie in [1, {self.T}]")
         if any(d not in range(9) for _, d in legs):
             raise ValueError("directions must be integer codes 0..8")
         object.__setattr__(self, "trajectory", legs)

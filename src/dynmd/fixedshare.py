@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dmd import DmdState, StepPlan, advance, require_finite
+from .geometry import _as_integer
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,8 @@ class FixedShareState:
 
 def default_lambda(m, T):
     """Share rate m / T for an m-switch comparator over horizon T."""
-    if int(m) != m or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m}")
-    if int(T) != T or T < 1:
-        raise ValueError(f"T must be an integer >= 1, got {T}")
+    m = _as_integer(m, "m", 0)
+    T = _as_integer(T, "T", 1)
     if m >= T:
         raise ValueError(f"m must be < T, got m={m}, T={T}")
     return m / T

@@ -14,6 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _as_integer(value, name, low):
+    """value as an int, else ValueError naming it (NaN, +-inf, 1.5, < low)."""
+    try:
+        if int(value) == value >= low:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+
+
 def _as_array(p, name="point"):
     a = np.asarray(p, dtype=float)
     if not np.isfinite(a).all():
@@ -31,17 +41,13 @@ class SquaredEuclidean:
         self.sigma = 2.0 * self.scale
 
     def divergence(self, a, b):
-        """Bregman divergence D(a || b) = psi(a) - psi(b) - <grad psi(b), a - b>.
+        """Bregman divergence D(a || b) = psi(a) - psi(b) - <grad psi(b), a - b>,
+        row 0 of divergences(a, b[None]).
 
         For this geometry the closed form scale * ||a - b||^2 is used; it is
         algebraically identical and numerically tighter.
         """
-        a = _as_array(a, "a")
-        b = _as_array(b, "b")
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        d = a - b
-        return self.scale * float(np.vdot(d, d))
+        return float(self.divergences(a, np.asarray(b, dtype=float)[None])[0])
 
     def divergences(self, a, bs):
         """divergence(a, b) for every row b of a (k, *shape) stack."""
@@ -171,25 +177,30 @@ class Ball(FeasibleSet):
         self.norm = int(norm)
         self.shape = self.center.shape
 
-    def _dist(self, p):
-        d = (p - self.center).ravel()
-        return float(np.linalg.norm(d, ord=self.norm))
-
     def contains(self, p, tol=1e-9):
-        a = self._check_shape(p)
-        return self._dist(a) <= self.radius + tol
+        d = (self._check_shape(p) - self.center).ravel()
+        return float(np.linalg.norm(d, ord=self.norm)) <= self.radius + tol
 
     def project(self, p):
         a = self._check_stack(p)
         if a.shape != self.shape:
             return np.stack([self.project(row) for row in a])
-        v = a - self.center
-        if self.norm == 2:
+        with np.errstate(over="ignore"):  # overflows are undone below
+            v = a - self.center
+            nv = float(np.linalg.norm(v.ravel(), ord=self.norm))
+        if nv == math.inf and not np.isfinite(v).all():  # halve the offset
+            half = Ball(self.center / 2.0, self.radius / 2.0, self.norm)
+            return 2.0 * half.project(a / 2.0)
+        if self.norm == 1:
+            return self.center + _project_l1_ball(v, self.radius)
+        top = 1.0
+        if nv == math.inf:  # finite entries whose squares overflow
+            top = float(np.abs(v).max())
+            v = v / top  # the same direction, with a norm in [1, sqrt(size)]
             nv = float(np.linalg.norm(v.ravel()))
-            if nv <= self.radius:
-                return a.copy()
-            return self.center + v * (self.radius / nv)
-        return self.center + _project_l1_ball(v, self.radius)
+        if top * nv <= self.radius:
+            return a.copy()
+        return self.center + v * (self.radius / nv)
 
     def sample(self, rng, n):
         flat = int(np.prod(self.shape))
@@ -210,15 +221,23 @@ def _project_l1_ball(v, radius):
     """Euclidean projection of v onto {||w||_1 <= radius} (sorted threshold)."""
     shape = v.shape
     u = np.abs(v.ravel())
-    if u.sum() <= radius:
-        return v.copy()
-    s = np.sort(u)[::-1]
-    css = np.cumsum(s)
-    j = np.arange(1, s.size + 1)
-    rho = np.nonzero(s - (css - radius) / j > 0)[0][-1]
-    tau = (css[rho] - radius) / (rho + 1.0)
-    w = np.sign(v.ravel()) * np.maximum(u - tau, 0.0)
-    return w.reshape(shape)
+    with np.errstate(over="ignore"):  # an overflowing sum fails the test below
+        if u.sum() <= radius:
+            return v.copy()
+        s = np.sort(u)[::-1]
+        css = np.cumsum(s)
+        j = np.arange(1, s.size + 1)
+        rho = np.nonzero(s - (css - radius) / j > 0)[0]
+        if rho.size:
+            w = np.maximum(u - (css[rho[-1]] - radius) / (rho[-1] + 1.0), 0.0)
+        # ||w||_1 = radius, unless rounding ate half its bits: measure from s[0]
+        if not (rho.size and abs(w.sum() - radius) <= 2.0 ** -26 * radius):
+            d = s - s[0]
+            d = d[d > -radius]  # the support lies among these
+            css = np.cumsum(d)
+            rho = np.nonzero(d - (css - radius) / j[:d.size] > 0)[0][-1]
+            w = np.maximum((u - s[0]) - (css[rho] - radius) / (rho + 1.0), 0.0)
+    return (np.sign(v.ravel()) * w).reshape(shape)
 
 
 class StepSchedule:
@@ -228,9 +247,7 @@ class StepSchedule:
         raise NotImplementedError
 
     def _check_t(self, t):
-        if int(t) != t or t < 1:
-            raise ValueError(f"time index must be an integer >= 1, got {t}")
-        return int(t)
+        return _as_integer(t, "time index", 1)
 
     def etas(self, T):
         """Vector of eta(1), ..., eta(T)."""

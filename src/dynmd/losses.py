@@ -13,10 +13,10 @@ other votes.  Missing votes are encoded as 0 and drop out of every term.
 The matrix theta is not symmetrized; entry (a, b) only enters agent a's
 component.
 
-Every family also evaluates a stack of k points at once:
-CompositeLoss.values_and_grads(thetas) takes a (k, *shape) array and
-returns the k composite values and the k smooth-part gradients, so a pool
-of experts scores and differentiates one round's loss in a single call.
+A data-fit term implements exactly value(theta) at one point and
+values_and_grads(thetas), the values and gradients of every row of a
+(k, *shape) stack.  A pool scores one round in a single call, and a point's
+gradient is row 0 of a one-row stack, so a lone tracker is a pool of one.
 """
 
 from dataclasses import dataclass
@@ -80,36 +80,21 @@ class LeastSquaresLoss:
         self.A = A
         self.x = x
 
-    def _check_theta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.A.shape[1],):
-            raise ValueError(f"theta has shape {theta.shape}, expected ({self.A.shape[1]},)")
-        return theta
-
-    def value(self, theta):
-        r = self.x - self.A @ self._check_theta(theta)
-        return 0.5 * float(np.vdot(r, r))
-
-    def gradient(self, theta):
-        theta = self._check_theta(theta)
-        return self.A.T @ (self.A @ theta - self.x)
-
-    def values_and_grads(self, thetas):
-        """value() and gradient() of every row of a (k, n) stack.
-
-        k = 1 keeps the single-point arithmetic (matrix-vector products), so
-        a lone tracker is bit-identical to value() and gradient(); k > 1
-        uses two matrix-matrix products, R = Theta A^T - x and G = R A,
-        which may round differently in the last digits.
-        """
+    def _residuals(self, thetas):
+        """R = Theta A^T - x: row i is the residual of row i of a (k, n) stack."""
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.A.shape[1]:
             raise ValueError(
                 f"thetas have shape {thetas.shape}, expected (k, {self.A.shape[1]})")
-        if len(thetas) == 1:
-            r = self.A @ thetas[0] - self.x
-            return np.array([0.5 * float(np.vdot(r, r))]), (self.A.T @ r)[None]
-        R = thetas @ self.A.T - self.x
+        return thetas @ self.A.T - self.x
+
+    def value(self, theta):
+        R = self._residuals(np.asarray(theta, dtype=float)[None])
+        return 0.5 * float(np.einsum("ij,ij->i", R, R)[0])
+
+    def values_and_grads(self, thetas):
+        """value() and the gradient G = R A of every row of a (k, n) stack."""
+        R = self._residuals(thetas)
         return 0.5 * np.einsum("ij,ij->i", R, R), R @ self.A
 
 
@@ -133,46 +118,39 @@ class IsingPseudolikelihoodLoss:
         self.votes = v
         self.p = v.size
 
-    def _check_theta(self, theta, stacked=False):
-        theta = np.asarray(theta, dtype=float)
-        ndim = 3 if stacked else 2
-        if theta.ndim != ndim or theta.shape[-2:] != (self.p, self.p):
-            want = ("k", self.p, self.p) if stacked else (self.p, self.p)
-            raise ValueError(f"theta has shape {theta.shape}, expected {want}")
-        if not np.abs(theta).max() <= 1.0 + 1e-9:  # false for NaN and inf too
-            if not np.isfinite(theta).all():
+    def _check_theta(self, thetas):
+        """thetas as a (k, p, p) stack; a point is checked as a one-row stack."""
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 3 or thetas.shape[1:] != (self.p, self.p):
+            raise ValueError(
+                f"thetas have shape {thetas.shape}, expected (k, {self.p}, {self.p})")
+        if not np.abs(thetas).max() <= 1.0 + 1e-9:  # false for NaN and inf too
+            if not np.isfinite(thetas).all():
                 raise ValueError("theta must be finite")
             raise ValueError("theta entries must lie in [-1, 1]")
-        return theta
+        return thetas
 
-    def _z(self, theta):
-        # theta is one (p, p) matrix or a (k, p, p) stack; z is (p,) or (k, p)
+    def _z(self, thetas):
+        # the (k, p) margins of a (k, p, p) stack
         x = self.votes
-        diag = np.diagonal(theta, axis1=-2, axis2=-1)
-        return 2.0 * diag * x + 2.0 * x * (theta @ x - diag * x)
-
-    def _gradient(self, z):
-        x = self.votes
-        u = -2.0 * x * (1.0 - logistic(z))
-        g = u[..., :, None] * x
-        np.einsum("...ii->...i", g)[...] = u
-        return g
+        diag = np.diagonal(thetas, axis1=-2, axis2=-1)
+        return 2.0 * diag * x + 2.0 * x * (thetas @ x - diag * x)
 
     def per_agent_values(self, theta):
         """Vector of the p per-agent components (their sum is the loss)."""
-        theta = self._check_theta(theta)
-        return np.logaddexp(0.0, -self._z(theta))
+        z = self._z(self._check_theta(np.asarray(theta, dtype=float)[None]))
+        return np.logaddexp(0.0, -z[0])
 
     def value(self, theta):
         return float(self.per_agent_values(theta).sum())
 
-    def gradient(self, theta):
-        return self._gradient(self._z(self._check_theta(theta)))
-
     def values_and_grads(self, thetas):
-        """value() and gradient() of every matrix of a (k, p, p) stack."""
-        z = self._z(self._check_theta(thetas, stacked=True))
-        return np.logaddexp(0.0, -z).sum(axis=1), self._gradient(z)
+        """value() and the gradient of every matrix of a (k, p, p) stack."""
+        z = self._z(self._check_theta(thetas))
+        u = -2.0 * self.votes * (1.0 - logistic(z))
+        g = u[:, :, None] * self.votes
+        np.einsum("kii->ki", g)[...] = u
+        return np.logaddexp(0.0, -z).sum(axis=1), g
 
 
 @dataclass(frozen=True)
@@ -189,13 +167,14 @@ class CompositeLoss:
         return self.f.value(theta)
 
     def f_gradient(self, theta):
-        return self.f.gradient(theta)
+        """Row 0 of f.values_and_grads at the one-row stack theta[None]."""
+        return self.f.values_and_grads(np.asarray(theta, dtype=float)[None])[1][0]
 
     def prox_r(self, v, kappa):
         return self.r.prox(v, kappa)
 
     def subgradient(self, theta):
-        return self.f.gradient(theta) + self.r.subgradient(theta)
+        return self.f_gradient(theta) + self.r.subgradient(theta)
 
     def values_and_grads(self, thetas):
         """Composite values and smooth-part gradients of a (k, *shape) stack.

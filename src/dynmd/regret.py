@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import model_deviations
+from .geometry import _as_integer
 
 
 class ComparatorSequence:
@@ -78,11 +79,10 @@ def _best_switching(cost, m):
     if cost.ndim != 2:
         raise ValueError("cost must be a (T, N) matrix")
     T, N = cost.shape
-    if int(m) != m or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m}")
+    m = _as_integer(m, "m", 0)
     if m >= T:
         raise ValueError(f"m must be < T, got m={m}, T={T}")
-    n_segments = int(m) + 1
+    n_segments = m + 1
     dp = np.full((n_segments, N), np.inf)
     dp[0] = cost[0]
     starts = np.zeros((T, n_segments, N), dtype=bool)  # segment j on column i starts at t
@@ -239,8 +239,11 @@ def fixed_share_bound(n_experts, m, T, eta_r, lam):
         + log(1 / (lam^m (1-lam)^(T-m-1))) / eta_r
         + eta_r * T / 8
     """
-    if n_experts < 1 or T < 1 or not (0 <= m < T):
-        raise ValueError("need n_experts >= 1, T >= 1, 0 <= m < T")
+    n_experts = _as_integer(n_experts, "n_experts", 1)
+    m = _as_integer(m, "m", 0)
+    T = _as_integer(T, "T", 1)
+    if m >= T:
+        raise ValueError(f"m must be < T, got m={m}, T={T}")
     if not (eta_r > 0):
         raise ValueError(f"eta_r must be positive, got {eta_r}")
     if not (0.0 <= lam <= 1.0):
@@ -258,9 +261,7 @@ def fixed_share_bound(n_experts, m, T, eta_r, lam):
 def moving_average(values, window=30):
     """Trailing mean with partial windows at the start of the trace."""
     v = np.asarray(values, dtype=float)
-    if int(window) != window or window < 1:
-        raise ValueError(f"window must be an integer >= 1, got {window}")
-    window = int(window)
+    window = _as_integer(window, "window", 1)
     c = np.concatenate([[0.0], np.cumsum(v)])
     t = np.arange(1, v.shape[0] + 1)
     lo = np.maximum(t - window, 0)

@@ -285,13 +285,17 @@ def test_ball_with_prox_beats_scipy_reference():
 
 
 class ConstantGradient:
-    """Smooth part with the constant gradient g (f(theta) = <g, theta>)."""
+    """Smooth part f(theta) = <g, theta>, whose gradient is g everywhere."""
 
     def __init__(self, g):
         self.g = g
 
-    def gradient(self, theta):
-        return self.g
+    def value(self, theta):
+        return float(np.vdot(self.g, theta))
+
+    def values_and_grads(self, thetas):
+        flat = thetas.reshape(len(thetas), -1)
+        return flat @ self.g.ravel(), np.broadcast_to(self.g, thetas.shape).copy()
 
 
 def ball_prox_kkt_residual(fset, v, lam, theta):

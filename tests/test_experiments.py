@@ -9,15 +9,20 @@ import pytest
 
 from dynmd import (
     Box,
+    CompositeLoss,
     ConstantStep,
     DoublingStep,
+    DynamicalModel,
     IdentityModel,
+    L1Regularizer,
     NetworkAttraction,
     PixelShift,
     SquaredEuclidean,
     Unconstrained,
+    dfs_step,
     dmd_init,
     dmd_step,
+    fixed_share_init,
     least_squares,
     shift_family,
     vote_pseudolikelihood,
@@ -702,9 +707,6 @@ class _FitWithoutAgents:
     def value(self, theta):
         return self.fit.value(theta)
 
-    def gradient(self, theta):
-        return self.fit.gradient(theta)
-
     def values_and_grads(self, thetas):
         return self.fit.values_and_grads(thetas)
 
@@ -731,6 +733,75 @@ def test_agent_values_give_the_aggregate_loss_bit_for_bit():
     assert np.array_equal(scored.dfs_losses.view(np.uint64),
                           plain.dfs_losses.view(np.uint64))
     assert np.array_equal(scored.weights, plain.weights)
+
+
+class _Quadratic:
+    """A user's data-fit term f(theta) = 0.5 ||theta - c||^2 with only the
+    two methods a data-fit term implements."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, theta):
+        return float(self.values_and_grads(theta[None])[0][0])
+
+    def values_and_grads(self, thetas):
+        R = thetas - self.c
+        return 0.5 * np.einsum("ij,ij->i", R, R), R
+
+
+def test_a_fit_with_two_methods_drives_every_step():
+    # _Quadratic is least squares with A = I, whose products with I are
+    # exact: the lone tracker, the pool and the runner give the same bits
+    rng = np.random.default_rng(53)
+    T, rows, cols = 12, 3, 4
+    targets = rng.normal(size=(T, rows * cols))
+    path = np.clip(rng.normal(size=(T + 1, rows * cols)), -1.0, 1.0)
+    geom = SquaredEuclidean(1.0)
+    fset = Box(-1.0, 1.0, shape=rows * cols)
+    sched = ConstantStep(0.3)
+
+    def run(loss_at):
+        lone = dmd_init(geom, fset, IdentityModel(), sched)
+        pool = fixed_share_init([dmd_init(geom, fset, m, sched)
+                                 for m in shift_family(rows, cols)], 0.1, 0.5)
+        out = []
+        for t in range(1, T + 1):
+            lone, pred, _ = dmd_step(lone, loss_at(t))
+            pool, agg, losses = dfs_step(pool, loss_at(t))
+            out += [pred, agg, losses]
+        experts = [dmd_init(geom, fset, m, sched) for m in shift_family(rows, cols)]
+        result = run_scenario(loss_at, T, experts, lam=0.1, comparator=path)
+        return out + [result.dfs_losses, result.point_losses, result.subgrad_norms,
+                      result.weights, result.final_state.theta_hat]
+
+    user = run(lambda t: CompositeLoss(_Quadratic(targets[t - 1]), L1Regularizer(0.05)))
+    shipped = run(lambda t: least_squares(np.eye(rows * cols), targets[t - 1], tau=0.05))
+    for got, want in zip(user, shipped):
+        assert got.tobytes() == want.tobytes()
+
+
+class _NanModel(DynamicalModel):
+    label = "bad"
+
+    def apply(self, theta):
+        return np.full(np.shape(theta), np.nan)
+
+
+@pytest.mark.parametrize("comparator", [False, True])
+def test_a_non_finite_model_image_names_its_round_and_expert(comparator):
+    geom = SquaredEuclidean(1.0)
+    fset = Box(-1.0, 1.0, shape=4)
+    sched = ConstantStep(0.5)
+    loss = least_squares(np.eye(4), np.full(4, 0.5))
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite model image at round t=1, expert 0 \(bad\)$"):
+        dmd_step(dmd_init(geom, fset, _NanModel(), sched), loss)
+    experts = [dmd_init(geom, fset, m, sched) for m in (IdentityModel(), _NanModel())]
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite model image at round t=1, expert 1 \(bad\)$"):
+        run_scenario(lambda t: loss, 3, experts,
+                     comparator=np.zeros((4, 4)) if comparator else None)
 
 
 def test_config_parsing(tmp_path):

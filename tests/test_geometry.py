@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +13,18 @@ from dynmd import (
     Box,
     ConstantStep,
     DoublingStep,
+    IdentityModel,
     SquaredEuclidean,
     Unconstrained,
+    audit_contraction,
+    default_lambda,
+    dmd_init,
+    fixed_share_bound,
     least_squares,
+    moving_average,
 )
+from dynmd.experiments import VideoScenario
+from dynmd.regret import _best_switching
 
 from conftest import sampled_constants
 
@@ -161,6 +171,72 @@ def test_ball_projection_optimality_sampled():
                 assert d0 <= np.linalg.norm(p - q) + 1e-9
 
 
+def l1_projection_oracle(v, radius):
+    """Projection of v onto the 1-ball of the given radius at 0, found with
+    exact rational arithmetic and rounded once."""
+    u = [abs(Fraction(x)) for x in v]
+    r = Fraction(radius)
+    if sum(u) <= r:
+        return np.array(v, dtype=float)
+    css, tau = 0, None
+    for j, uj in enumerate(sorted(u, reverse=True), 1):
+        css += uj
+        if uj > (css - r) / j:
+            tau = (css - r) / j
+    return np.array([math.copysign(float(max(uj - tau, 0)), x) for uj, x in zip(u, v)])
+
+
+@st.composite
+def far_points(draw):
+    n = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
+    return {
+        "norm": draw(st.sampled_from([1, 2])),
+        "p": np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        * 10.0 ** draw(st.integers(8, 307)),
+        "radius": draw(st.sampled_from([1e-3, 1.0, 7.5, 1e3])),
+        "center": draw(st.sampled_from([0.0, 2.0, -0.5])),
+    }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(far_points())
+def test_ball_projects_points_of_huge_magnitude(case):
+    # far enough out, the 2-norm overflows and radius is lost in rounding
+    # next to the largest entries; the projection is still the true one, to
+    # half the digits on the 1-ball, whose thresholds round next to |p|
+    p, r, norm = case["p"], case["radius"], case["norm"]
+    center = np.full(p.shape, case["center"])
+    ball = Ball(center, r, norm=norm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ball.project(p)
+    v = p - center  # the centre is lost in rounding next to p
+    if norm == 2:
+        want = center + r * (v / math.hypot(*v))
+    else:
+        want = center + l1_projection_oracle(v, r)
+    tol = (1e-12 if norm == 2 else 2e-8) * (r + abs(case["center"]))
+    assert np.allclose(got, want, rtol=0.0, atol=tol)
+    assert ball.contains(got, tol=tol)
+    assert np.array_equal(ball.project(p[None])[0], got)
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+def test_ball_projects_points_whose_offset_overflows(norm):
+    # p - center overflows in the first coordinate: the projection moves
+    # radius along it, as for any point due east of the centre
+    center = np.full(2, -1e308)
+    ball = Ball(center, 1e300, norm=norm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ball.project(np.array([1e308, -1e308]))
+    assert np.array_equal(got, center + [1e300, 0.0])
+    diagonal = ball.project(np.array([1e308, 1e308]))
+    step = 1e300 / math.sqrt(2.0) if norm == 2 else 0.5e300
+    assert np.allclose(diagonal, center + step, rtol=1e-15, atol=0.0)
+
+
 def test_box_requires_ordered_bounds():
     with pytest.raises(ValueError):
         Box(1.0, 0.0, shape=2)
@@ -298,6 +374,35 @@ def test_nonfinite_parameters_are_rejected_by_name(bad):
     for make, name in cases:
         with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
             make()
+
+
+_INTEGER_PARAMETERS = {
+    "time index": lambda x: ConstantStep(0.1).eta(x),
+    "reg_period": lambda x: dmd_init(SquaredEuclidean(1.0), Unconstrained(2),
+                                     IdentityModel(), ConstantStep(0.1),
+                                     reg_period=x),
+    "m-default_lambda": lambda x: default_lambda(x, 10),
+    "T-default_lambda": lambda x: default_lambda(1, x),
+    "m-switching": lambda x: _best_switching(np.zeros((4, 2)), x),
+    "window": lambda x: moving_average(np.ones(3), window=x),
+    "n_pairs": lambda x: audit_contraction(IdentityModel(), SquaredEuclidean(1.0),
+                                           Unconstrained(2), n_pairs=x),
+    "n_experts-fixed_share_bound": lambda x: fixed_share_bound(x, 1, 10, 0.1, 0.1),
+    "m-fixed_share_bound": lambda x: fixed_share_bound(3, x, 10, 0.1, 0.1),
+    "T-fixed_share_bound": lambda x: fixed_share_bound(3, 1, x, 0.1, 0.1),
+    "a leg start": lambda x: VideoScenario(trajectory=((1, 0), (x, 1))),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1.5])
+@pytest.mark.parametrize("site", sorted(_INTEGER_PARAMETERS))
+def test_integer_parameters_are_checked_by_name(site, bad):
+    # one check: int(inf) would raise OverflowError, int(nan) Python's own
+    # ValueError, and 1.5 used to pass some of these sites
+    name = site.split("-")[0]
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be an integer >= \d+, got {bad}$"):
+        _INTEGER_PARAMETERS[site](bad)
 
 
 def test_unbounded_box_projects_but_cannot_sample():

@@ -12,10 +12,16 @@ from dynmd import (
     IsingPseudolikelihoodLoss,
     L1Regularizer,
     LeastSquaresLoss,
+    SquaredEuclidean,
     least_squares,
     vote_pseudolikelihood,
 )
 from dynmd.losses import logistic
+
+
+def point_gradient(fit, theta):
+    # a data-fit term's gradient at one point: row 0 of its stacked kernel
+    return fit.values_and_grads(theta[None])[1][0]
 
 
 def ls_value_oracle(A, x, theta):
@@ -47,14 +53,14 @@ def test_least_squares_zero_at_exact_fit():
     theta = rng.normal(size=4)
     loss = LeastSquaresLoss(A, A @ theta)
     assert loss.value(theta) == pytest.approx(0.0, abs=1e-20)
-    assert np.allclose(loss.gradient(theta), 0.0, atol=1e-12)
+    assert np.allclose(point_gradient(loss, theta), 0.0, atol=1e-12)
 
 
 def test_least_squares_identity_example():
     loss = LeastSquaresLoss(np.eye(2), np.array([1.0, 0.0]))
     theta = np.zeros(2)
     assert loss.value(theta) == pytest.approx(0.5, rel=1e-15)
-    assert np.allclose(loss.gradient(theta), [-1.0, 0.0], atol=1e-15)
+    assert np.allclose(point_gradient(loss, theta), [-1.0, 0.0], atol=1e-15)
 
 
 def test_least_squares_value_matches_oracle():
@@ -75,7 +81,7 @@ def test_least_squares_gradient_matches_finite_differences():
         theta = rng.normal(size=8)
         loss = LeastSquaresLoss(A, x)
         fd = central_diff(loss.value, theta)
-        assert rel_err(loss.gradient(theta), fd) <= 1e-5
+        assert rel_err(point_gradient(loss, theta), fd) <= 1e-5
 
 
 def test_least_squares_shape_errors():
@@ -102,7 +108,7 @@ def test_ising_all_votes_missing():
     theta = np.clip(rng.normal(scale=0.4, size=(p, p)), -1.0, 1.0)
     loss = IsingPseudolikelihoodLoss(np.zeros(p))
     assert loss.value(theta) == pytest.approx(p * math.log(2.0), rel=1e-15)
-    assert np.array_equal(loss.gradient(theta), np.zeros((p, p)))
+    assert np.array_equal(point_gradient(loss, theta), np.zeros((p, p)))
 
 
 def test_ising_single_vote_gradient_example():
@@ -110,7 +116,7 @@ def test_ising_single_vote_gradient_example():
     p = 3
     votes = np.array([1.0, 0.0, 0.0])
     loss = IsingPseudolikelihoodLoss(votes)
-    g = loss.gradient(np.zeros((p, p)))
+    g = point_gradient(loss, np.zeros((p, p)))
     want = np.zeros((p, p))
     want[0, 0] = -1.0
     assert np.allclose(g, want, atol=1e-15)
@@ -134,7 +140,7 @@ def test_ising_gradient_matches_finite_differences():
         theta = rng.uniform(-0.9, 0.9, size=(p, p))
         loss = IsingPseudolikelihoodLoss(votes)
         fd = central_diff(loss.value, theta)
-        assert rel_err(loss.gradient(theta), fd) <= 1e-5
+        assert rel_err(point_gradient(loss, theta), fd) <= 1e-5
 
 
 def test_ising_value_overflow_safe():
@@ -146,7 +152,7 @@ def test_ising_value_overflow_safe():
     v = loss.value(theta)
     assert np.isfinite(v)
     assert v == pytest.approx(0.0, abs=1e-100)  # softplus(-z) underflows to 0 for huge z
-    g = loss.gradient(theta)
+    g = point_gradient(loss, theta)
     assert np.all(np.isfinite(g))
 
 
@@ -229,7 +235,7 @@ def test_ising_votes_domain_is_exactly_minus_one_zero_one(entries):
 
 _ISING_CALLS = {
     "value": lambda loss, theta: loss.value(theta),
-    "gradient": lambda loss, theta: loss.gradient(theta),
+    "gradient": lambda loss, theta: point_gradient(loss, theta),
     "per_agent_values": lambda loss, theta: loss.per_agent_values(theta),
     "values_and_grads": lambda loss, theta: loss.values_and_grads(
         np.stack([np.zeros_like(theta), theta])),
@@ -367,8 +373,8 @@ def test_values_and_grads_match_pointwise_calls(family):
             for i in range(k):
                 want_v, want_g = loss.value(thetas[i]), loss.f_gradient(thetas[i])
                 if k == 1 or family == "votes":
-                    # one point keeps the pointwise arithmetic; the vote
-                    # loss is elementwise apart from per-point products
+                    # a point is the one-row stack; the vote loss is
+                    # elementwise apart from per-point products
                     assert values[i] == want_v
                     assert np.array_equal(grads[i], want_g)
                 else:
@@ -387,3 +393,39 @@ def test_values_and_grads_shape_errors():
         ising.values_and_grads(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ising.values_and_grads(np.full((1, 2, 2), 2.0))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def one_point_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tau = draw(st.sampled_from([0.0, 0.3]))
+    if draw(st.sampled_from(["least_squares", "votes"])) == "least_squares":
+        m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        loss = least_squares(rng.normal(size=(m, n)), rng.normal(size=m), tau=tau)
+        theta = rng.normal(size=n) * scale
+    else:
+        p = draw(st.integers(1, 12))
+        loss = vote_pseudolikelihood(rng.choice([-1.0, 0.0, 1.0], size=p), tau=tau)
+        theta = rng.uniform(-1.0, 1.0, size=(p, p))
+    return loss, theta, rng.normal(size=theta.shape)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(one_point_cases())
+def test_point_calls_are_row_0_of_the_stacked_kernel(case):
+    # one kernel per quantity: a point's value, gradient, subgradient and
+    # divergence are row 0 of the one-row stack, bit for bit
+    loss, theta, other = case
+    values, grads = loss.values_and_grads(theta[None])
+    assert _bits(loss.value(theta)) == _bits(values[0])
+    assert _bits(loss.f_gradient(theta)) == _bits(grads[0])
+    assert _bits(loss.subgradient(theta)) == _bits(
+        grads[0] + loss.r.subgradient(theta))
+    geom = SquaredEuclidean(0.75)
+    assert _bits(geom.divergence(other, theta)) == _bits(
+        geom.divergences(other, theta[None])[0])
