@@ -178,8 +178,13 @@ class Ball(FeasibleSet):
         self.shape = self.center.shape
 
     def contains(self, p, tol=1e-9):
-        d = (self._check_shape(p) - self.center).ravel()
-        return float(np.linalg.norm(d, ord=self.norm)) <= self.radius + tol
+        with np.errstate(over="ignore"):  # an offset that overflows lies outside
+            d = (self._check_shape(p) - self.center).ravel()
+            dist = float(np.linalg.norm(d, ord=self.norm))
+        if dist == math.inf and np.isfinite(d).all():  # measured as in project
+            top = float(np.abs(d).max())
+            dist = top * float(np.linalg.norm(d / top, ord=self.norm))
+        return dist <= self.radius + tol
 
     def project(self, p):
         a = self._check_stack(p)

@@ -63,45 +63,66 @@ def _best_switching(cost, m):
     Returns (value, [(start, end)] 1-based inclusive, column per segment,
     switch times: the first step of segments 2..m+1).  Consecutive segments
     may share a column, so the value is also the best assignment of one
-    column per step with at most m changes.
+    column per step with at most m changes.  A non-finite cost, or a best
+    sequence whose sum overflows, raises ValueError.
 
-    Forward recursion over t in O(m * T * N): dp[j, i] is the least cost
-    of steps 1..t in exactly j + 1 segments, the last on column i; a step
-    either extends that segment or starts segment j + 1 on column i after
-    the best j-segment prefix.  On ties the reported segmentation takes the
-    lowest-index final column; going back from step T it extends a segment
-    rather than start a new one, so each segment starts as early as the
-    later ones allow (redundant segments become one-step segments at the
-    start); the column before a new segment is the lowest-index one among
-    ties.
+    m + 1 array passes over the horizon, O(m * T * N) work.  x^j[t, i] is
+    the least cost of steps 1..t in exactly j + 1 segments, the last on
+    column i.  With C the prefix sums of the cost, layer 0 is C, and layer
+    j >= 1 is kept as Y^j = x^j - C: at step t segment j + 1 either goes on
+    or restarts after the best j-segment prefix b_t = x^{j-1}[t - 1, k_t],
+    so Y^j[t] is the running minimum over s <= t of the restart values
+    z_s = b_s - C[s - 1].  A restart on the prefix's own column k_s carries
+    Y^{j-1}[s - 1, k_s] exactly (the same number in exact arithmetic), so
+    that such ties fall as in the per-step recursion.
+
+    On ties the reported segmentation takes the lowest-index final column;
+    going back from step T it extends a segment rather than start a new
+    one (a restart must be strictly lower), so each segment starts as early
+    as the later ones allow (redundant segments become one-step segments at
+    the start); the column before a new segment is the lowest-index one
+    among ties.  The value is the in-order sum of the chosen cells, the sum
+    the per-step recursion (one step of all m + 1 layers at a time) forms.
+    That recursion rounds its layers in another order, so two
+    segmentations whose totals differ only in rounding may be reported the
+    other way round; the values then agree to within the rounding of the
+    prefix sums of |cost|.  Costs whose sums could near the float limit are
+    scaled by a power of two for the passes.
     """
     cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError("cost must be a (T, N) matrix")
+    if cost.ndim != 2 or cost.shape[1] == 0:
+        raise ValueError(f"cost must be a (T, N) matrix with N >= 1, "
+                         f"got shape {cost.shape}")
     T, N = cost.shape
     m = _as_integer(m, "m", 0)
     if m >= T:
         raise ValueError(f"m must be < T, got m={m}, T={T}")
-    n_segments = m + 1
-    dp = np.full((n_segments, N), np.inf)
-    dp[0] = cost[0]
-    starts = np.zeros((T, n_segments, N), dtype=bool)  # segment j on column i starts at t
-    before = np.zeros((T, n_segments), dtype=np.intp)  # column of segment j - 1 then
-    rows = np.arange(n_segments - 1)
-    for t in range(1, T):
-        k = dp[:-1].argmin(axis=1)
-        best = dp[rows, k][:, None]
-        new = best < dp[1:]
-        starts[t, 1:] = new
-        before[t, 1:] = k
-        np.copyto(dp[1:], best, where=new)
-        dp += cost[t]
-    col = int(dp[-1].argmin())
-    value = float(dp[-1, col])
+    top = float(np.abs(cost).max())
+    if not math.isfinite(top):
+        raise ValueError("cost must be finite")
+    # T max|cost| < 2^e bounds |C| and |b|, so the passes stay below
+    # 2^(e + 2): scale so that e <= 1021
+    shift = min(0, 1021 - math.frexp(top)[1] - T.bit_length())
+    c = np.cumsum(np.ldexp(cost, shift), axis=0)
+    starts = np.zeros((T, m + 1, N), dtype=bool)  # segment j on column i starts at t
+    before = np.zeros((T, m + 1), dtype=np.intp)  # column of segment j - 1 then
+    steps = np.arange(T - 1)
+    x, y = c, np.zeros((T, N))
+    z = np.empty((T, N))
+    z[0] = np.inf  # no segment j >= 1 at step 1
+    for j in range(1, m + 1):
+        k = x[:-1].argmin(axis=1)
+        np.subtract(x[steps, k][:, None], c[:-1], out=z[1:])
+        z[steps + 1, k] = y[steps, k]
+        y = np.minimum.accumulate(z, axis=0)
+        np.less(z[1:], y[:-1], out=starts[1:, j])
+        before[1:, j] = k
+        x = y + c
+    col = int(x[-1].argmin())
     bounds = []
     cols = []
     end = T
-    for j in range(n_segments - 1, 0, -1):
+    for j in range(m, 0, -1):
         start = int(np.flatnonzero(starts[:end, j, col])[-1])
         bounds.append((start + 1, end))
         cols.append(col)
@@ -111,6 +132,11 @@ def _best_switching(cost, m):
     cols.append(col)
     bounds.reverse()
     cols.reverse()
+    path = np.repeat(cols, [end - start + 1 for start, end in bounds])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        value = float(np.cumsum(cost[np.arange(T), path])[-1])
+    if not math.isfinite(value):
+        raise ValueError(f"the best {m}-switch cost sum overflows: {value!r}")
     return value, bounds, tuple(cols), tuple(start for start, _ in bounds[1:])
 
 
@@ -130,9 +156,11 @@ def best_segmentation(comparator, models, m):
 
     Picks switch times 1 = t_1 < t_2 < ... < t_{m+2} = T + 1 and one model
     per segment minimizing sum_k sum_{t in segment k} ||theta_{t+1} -
-    Phi_{i_k}(theta_t)||.  Exact by dynamic programming in O(m * T * N)
-    after one model_deviations pass.  On ties it reports the lowest-index
-    final model, and each segment starts as early as the later ones allow.
+    Phi_{i_k}(theta_t)||.  Exact by the switching DP, m + 1 array passes
+    over the horizon (O(m * T * N) work), after one model_deviations pass.
+    On ties it reports the lowest-index final model, and each segment
+    starts as early as the later ones allow.  Deviations whose best sum
+    overflows raise ValueError.
     """
     cost = model_deviations(path_points(comparator), models)
     value, bounds, cols, switch_times = _best_switching(cost, m)
@@ -205,26 +233,40 @@ def tracking_decomposition_from_losses(dfs_losses, expert_losses, comparator_los
     """Decomposition from recorded per-round loss traces.
 
     dfs_losses: (T,) losses of the aggregated predictions; expert_losses:
-    (T, N) per-expert losses; comparator_losses: (T,) losses of the
-    comparator path.  The best expert sequence comes from the same
-    O(m * T * N) DP as best_segmentation, with the same tie rule.  A
-    non-finite loss, or a sum that overflows, raises ValueError.
+    (T, N) per-expert losses, N >= 1; comparator_losses: (T,) losses of the
+    comparator path.  A trace of another shape raises ValueError naming it
+    and its shape.  The best expert sequence comes from the same switching
+    DP as best_segmentation (m + 1 array passes over the horizon), with the
+    same tie rule.  A non-finite loss, or a sum that overflows, raises
+    ValueError.
     """
     dfs_losses = np.asarray(dfs_losses, dtype=float)
     expert_losses = np.asarray(expert_losses, dtype=float)
     comparator_losses = np.asarray(comparator_losses, dtype=float)
-    T = dfs_losses.shape[0]
-    if expert_losses.shape[0] != T or comparator_losses.shape[0] != T:
-        raise ValueError("loss traces must share the horizon")
+    if expert_losses.ndim != 2 or expert_losses.shape[1] == 0:
+        raise ValueError("expert_losses must be a (T, N) matrix with N >= 1, "
+                         f"got shape {expert_losses.shape}")
+    T = expert_losses.shape[0]
+    for name, trace in (("dfs_losses", dfs_losses),
+                        ("comparator_losses", comparator_losses)):
+        if trace.shape != (T,):
+            raise ValueError(f"{name} must be a vector of the T={T} rounds of "
+                             f"expert_losses, got shape {trace.shape}")
     for name, trace in (("dfs", dfs_losses), ("expert", expert_losses),
                         ("comparator", comparator_losses)):
         if not np.all(np.isfinite(trace)):
             raise ValueError(f"the {name} losses are not all finite")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        best, _, cols, switch_times = _best_switching(expert_losses, m)
-        t1 = float(dfs_losses.sum() - best)
-        t2 = float(best - comparator_losses.sum())
-    if not np.isfinite([best, t1, t2, t1 + t2]).all():
+        dfs_total = dfs_losses.sum()
+        comparator_total = comparator_losses.sum()
+    if not np.isfinite([dfs_total, comparator_total]).all():
+        raise ValueError(f"the loss sums overflow: dfs {dfs_total!r}, "
+                         f"comparator {comparator_total!r}")
+    best, _, cols, switch_times = _best_switching(expert_losses, m)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        t1 = float(dfs_total - best)
+        t2 = float(best - comparator_total)
+    if not np.isfinite([t1, t2, t1 + t2]).all():
         raise ValueError(f"the loss sums overflow: best sequence {best!r}, "
                          f"t1={t1!r}, t2={t2!r}")
     return TrackingDecomposition(

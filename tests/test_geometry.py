@@ -237,6 +237,47 @@ def test_ball_projects_points_whose_offset_overflows(norm):
     assert np.allclose(diagonal, center + step, rtol=1e-15, atol=0.0)
 
 
+
+def test_ball_contains_points_whose_squares_overflow():
+    # the 2-norm's squares overflow past about 1.3e154: contains used to
+    # answer False, with a warning, for a point project returns unchanged
+    ball = Ball(np.zeros(2), 1e200)
+    p = np.array([1e160, 1e160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ball.contains(p)
+        assert np.array_equal(ball.project(p), p)
+        assert not ball.contains(np.array([1e200, 1e200]))
+        assert not Ball(np.full(2, -1e308), 1e300).contains(np.array([1e308, 0.0]))
+
+
+@st.composite
+def huge_balls(draw):
+    n = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.integers(8, 307))
+    unit = st.floats(-1.0, 1.0)
+    return {
+        "norm": draw(st.sampled_from([1, 2])),
+        "center": np.array(draw(st.lists(unit, min_size=n, max_size=n))) * scale,
+        "radius": draw(st.floats(0.1, 1.0)) * scale,
+        # inside and outside the ball
+        "offset": np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n,
+                                         max_size=n))) * scale,
+    }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(huge_balls())
+def test_ball_contains_its_projections_at_any_magnitude(case):
+    # a moved point lies on the sphere to rounding, which at these radii is
+    # far above the default absolute tol: measure it relative to the radius
+    ball = Ball(case["center"], case["radius"], norm=case["norm"])
+    tol = (1e-12 if case["norm"] == 2 else 1e-7) * case["radius"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ball.project(case["center"] + case["offset"])
+        assert ball.contains(got, tol=tol)
+
 def test_box_requires_ordered_bounds():
     with pytest.raises(ValueError):
         Box(1.0, 0.0, shape=2)

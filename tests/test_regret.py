@@ -1,10 +1,11 @@
 import itertools
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynmd import (
@@ -328,6 +329,136 @@ def test_switching_dp_tie_rule():
     assert bounds == [(1, 1), (2, 3), (4, 6)]
     assert cols == (0, 0, 1)
     assert switch_times == (2, 4)
+
+
+def per_step_switching(cost, m):
+    # the switching DP one step of all m + 1 layers at a time: the slow
+    # reference that _best_switching's layer-at-a-time passes must match
+    T, N = cost.shape
+    dp = np.full((m + 1, N), np.inf)
+    dp[0] = cost[0]
+    starts = np.zeros((T, m + 1, N), dtype=bool)
+    before = np.zeros((T, m + 1), dtype=np.intp)
+    rows = np.arange(m)
+    for t in range(1, T):
+        k = dp[:-1].argmin(axis=1)
+        best = dp[rows, k][:, None]
+        new = best < dp[1:]
+        starts[t, 1:] = new
+        before[t, 1:] = k
+        np.copyto(dp[1:], best, where=new)
+        dp += cost[t]
+    col = int(dp[-1].argmin())
+    value = float(dp[-1, col])
+    bounds, cols, end = [], [], T
+    for j in range(m, 0, -1):
+        start = int(np.flatnonzero(starts[:end, j, col])[-1])
+        bounds.append((start + 1, end))
+        cols.append(col)
+        col = int(before[start, j])
+        end = start
+    bounds.append((1, end))
+    cols.append(col)
+    bounds.reverse()
+    cols.reverse()
+    return value, bounds, tuple(cols), tuple(start for start, _ in bounds[1:])
+
+
+@st.composite
+def generated_costs(draw):
+    T = draw(st.integers(1, 80))
+    N = draw(st.integers(1, 5))
+    m = draw(st.integers(0, min(5, T - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["integer", "uniform", "signed"]))
+    if kind == "integer":
+        cost = rng.integers(0, 3, size=(T, N)).astype(float)  # many exact ties
+    elif kind == "uniform":
+        cost = rng.uniform(size=(T, N))
+    else:
+        cost = rng.normal(scale=10.0, size=(T, N))
+    return cost, m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(generated_costs())
+def test_switching_dp_matches_per_step_reference(case):
+    # the same segmentation, and its cells summed in the same order, so
+    # the same value to the bit
+    cost, m = case
+    assert _best_switching(cost, m) == per_step_switching(cost, m)
+
+
+def exact_total(cost, bounds, cols):
+    return sum(Fraction(float(v)) for (s, e), i in zip(bounds, cols)
+               for v in cost[s - 1:e, i])
+
+
+@st.composite
+def drawn_cells(draw):
+    T = draw(st.integers(1, 30))
+    N = draw(st.integers(1, 4))
+    m = draw(st.integers(0, min(5, T - 1)))
+    cells = draw(st.sampled_from([st.floats(0.0, 1.0), st.floats(-1e3, 1e3)]))
+    rows = draw(st.lists(st.lists(cells, min_size=N, max_size=N),
+                         min_size=T, max_size=T))
+    return np.array(rows), m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn_cells())
+@example((np.array([[1.0, 0.0], [1.0, 0.0], [0.5866187241528399, 0.0],
+                    [0.37473241224703063, 0.0], [2.0 ** -52, 0.0]]), 1))
+def test_switching_dp_differs_from_reference_only_in_rounding(case):
+    # cells like 2^-52 or 5e-324 beside prefix sums near 1 make segmentations
+    # whose totals differ only in rounding; the two recursions round in
+    # another order and may each report another one of them (in the example
+    # the 2^-52 is lost in column 0's prefix sum, so the passes end there)
+    cost, m = case
+    value, bounds, cols, _ = _best_switching(cost, m)
+    want = per_step_switching(cost, m)
+    scale = max(1.0, np.abs(cost).sum())
+    assert abs(value - want[0]) <= 1e-12 * scale
+    if (bounds, cols) != want[1:3]:
+        gap = exact_total(cost, bounds, cols) - exact_total(cost, *want[1:3])
+        assert abs(gap) <= 1e-12 * scale
+
+
+def test_switching_dp_long_horizon():
+    cost = np.random.default_rng(113).uniform(size=(20000, 4))
+    assert _best_switching(cost, 3) == per_step_switching(cost, 3)
+
+
+def test_switching_dp_sums_near_the_float_limit(recwarn):
+    # every sequence's sum overflows: a clean error, never a silent inf
+    with pytest.raises(ValueError, match="the best 1-switch cost sum overflows"):
+        _best_switching(np.full((4, 2), 1e308), 1)
+    with pytest.raises(ValueError, match="cost must be finite"):
+        _best_switching(np.array([[1.0], [np.inf]]), 1)
+    # one column's prefix sums overflow, the best sequence's do not
+    cost = np.array([[1e308, 0.0], [1e308, 1.0], [0.0, 1.0]])
+    assert _best_switching(cost, 0) == (2.0, [(1, 3)], (1,), ())
+    # restarting on column 1 after -1e308 stores -1e308 - 1.5e308 in the
+    # passes: on unscaled costs that overflows to -inf, hides the later and
+    # better restart and reports -1.2e308; the passes run on costs scaled by
+    # a power of two and find the reference's -1.7e308
+    cost = np.array([[-1e308, 1e308], [0.0, 0.5e308], [0.0, -0.7e308], [0.0, 0.0]])
+    assert _best_switching(cost, 1) == per_step_switching(cost, 1) \
+        == (-1.7e308, [(1, 2), (3, 4)], (0, 1), (3,))
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("traces,named", [
+    ((np.ones((5, 2)), np.ones((5, 2)), np.ones(5)), r"dfs_losses .* shape \(5, 2\)"),
+    ((np.ones(5), np.ones((5, 2)), np.ones((5, 3))),
+     r"comparator_losses .* shape \(5, 3\)"),
+    ((np.ones(5), np.ones((5, 0)), np.ones(5)), r"expert_losses .* shape \(5, 0\)"),
+], ids=["dfs-matrix", "comparator-matrix", "no-experts"])
+def test_tracking_decomposition_rejects_misshaped_traces(traces, named):
+    # a (T, 2) dfs trace summed 2T values into t1, a (T, 3) comparator gave
+    # t2 = -10, and no expert columns failed inside numpy's argmin
+    with pytest.raises(ValueError, match=named):
+        tracking_decomposition_from_losses(*traces, m=1)
 
 
 def test_tracking_decomposition_from_losses_validation():
