@@ -11,6 +11,7 @@ per-point traces keep that layout as (T, K) columns, K = N + 1 (N without a
 comparator), and the weight update and the mirror step read that one result.
 """
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -249,7 +250,10 @@ def _write_csv(path, cols, data):
 
 
 def read_losses_csv(path):
-    """Inverse of write_losses_csv: dict of column name -> float array."""
+    """Inverse of write_losses_csv: dict of column name -> float array.
+    numpy parses the data rows in one pass; a table it rejects, or one of
+    the wrong width or with a non-finite field, is read again row by row,
+    which names the first bad line."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header:
@@ -258,23 +262,37 @@ def read_losses_csv(path):
         for j, name in enumerate(names):
             if name in names[:j]:
                 raise ValueError(f"{path}: column {name!r} repeats")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != len(names):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(names)} fields, got {len(fields)}")
-            try:
-                row = [float(f) for f in fields]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric field") from None
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}:{lineno}: non-finite field")
-            rows.append(row)
-    if not rows:
+        body = fh.read()
+    if not body.strip():
         raise ValueError(f"{path}: no data rows")
-    arr = np.array(rows)
+    try:
+        arr = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                         ndmin=2)
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape[1] != len(names) or not np.isfinite(arr).all():
+        arr = _read_rows(path, len(names), body)
     return {name: arr[:, j] for j, name in enumerate(names)}
+
+
+def _read_rows(path, width, body):
+    """The data lines of a table, which start at line 2, parsed one at a
+    time with float(): their (rows, width) array, or the error of the first
+    bad line.  Blank lines are skipped."""
+    rows = []
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(
+                f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric field") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: non-finite field")
+        rows.append(row)
+    return np.array(rows)

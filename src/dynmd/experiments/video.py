@@ -15,15 +15,20 @@ A matrix depends only on the seed and the round, never on the learner's
 play, so it is drawn ahead of time.  When round t's matrix is asked for,
 one worker thread draws the raw normals of rounds t+1 .. t+LOOKAHEAD while
 the caller runs its round; numpy's generator releases the interpreter lock
-while it draws.  Every draw returns an array of its own, held as a future
-in a window keyed by round, so no later draw can write into a matrix
-already handed out.  The caller scales its round's array by
-1/sqrt(measurements) in place, the same ufunc as the synchronous draw's
-division, so every matrix is bit-identical to _sensing_matrix.  Round 1's
-matrix, drawn at set-up for the default l1 weight, enters the window as a
-finished draw.  Any other round with no pending draw (random access, a
-replay that restarts at round 1) is drawn synchronously.  Identity sensing
-starts no thread: one read-only identity per VideoData serves every round.
+while it draws.  A caller whose round is still being drawn does not wait
+idle: it claims a later round of the window that the worker has not
+started, and draws that round itself, until its own round is done or no
+round is left to claim.  Each matrix comes from its own child seed, so
+which thread draws it never changes its bits.  Every draw returns an array
+of its own, held as a future in a window keyed by round, so no later draw
+can write into a matrix already handed out.  The caller scales its round's
+array by 1/sqrt(measurements) in place, the same ufunc as the synchronous
+draw's division, so every matrix is bit-identical to _sensing_matrix.
+Round 1's matrix, drawn at set-up for the default l1 weight, enters the
+window as a finished draw.  Any other round with no pending draw (random
+access, a replay that restarts at round 1) is drawn synchronously.
+Identity sensing starts no thread: one read-only identity per VideoData
+serves every round.
 """
 
 import math
@@ -37,7 +42,7 @@ from ..geometry import _as_integer
 from ..losses import CompositeLoss, L1Regularizer, LeastSquaresLoss
 
 STAY = 8  # trajectory direction code for "hold still"
-LOOKAHEAD = 2  # rounds whose sensing matrices are drawn ahead of the caller
+LOOKAHEAD = 3  # rounds whose sensing matrices are drawn ahead of the caller
 
 
 @dataclass(frozen=True)
@@ -124,9 +129,15 @@ class _SensingLookahead:
     """Holds {round: future of its raw draw} for the rounds (t, t + LOOKAHEAD]
     after the last round t asked for, drawn on one worker thread.  The lock
     serialises callers; each draw owns its array, so a draw that falls out
-    of the window is cancelled without waiting for it.  The thread exits
-    once the executor is garbage-collected with its VideoData, or at
-    interpreter exit."""
+    of the window is cancelled without waiting for it.
+
+    A caller blocked on its round claims a round the worker has not started
+    (its future's cancel() succeeds) and puts a placeholder future in its
+    place, marked running before the lock is released: another caller's
+    window refresh then cannot cancel it, and a caller that needs that round
+    waits on the placeholder.  The placeholder gets the caller's draw, or
+    the error that draw raised.  The thread exits once the executor is
+    garbage-collected with its VideoData, or at interpreter exit."""
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -140,6 +151,18 @@ class _SensingLookahead:
         from concurrent.futures import Future
         self._window[t] = future = Future()
         future.set_result(raw)
+
+    def _claim(self):
+        """(round, placeholder) for the earliest round of the window whose
+        draw has not started, taken from the worker; None if there is none."""
+        from concurrent.futures import Future
+        with self._lock:
+            for r, pending in self._window.items():
+                if pending.cancel():
+                    self._window[r] = placeholder = Future()
+                    placeholder.set_running_or_notify_cancel()
+                    return r, placeholder
+        return None
 
     def matrix(self, t):
         s = self.scenario
@@ -157,7 +180,21 @@ class _SensingLookahead:
             for stale in self._window.values():
                 stale.cancel()
             self._window = window
-        raw = _draw_raw(s, t) if future is None else future.result()
+        if future is None:
+            raw = _draw_raw(s, t)
+        else:
+            while not future.done() and (claimed := self._claim()) is not None:
+                r, placeholder = claimed
+                try:
+                    placeholder.set_result(_draw_raw(s, r))
+                except Exception as exc:
+                    # round r's error belongs to round r's caller
+                    placeholder.set_exception(exc)
+                except BaseException as exc:
+                    # an interrupt reaches round r's caller and this one
+                    placeholder.set_exception(exc)
+                    raise
+            raw = future.result()
         raw /= math.sqrt(s.measurements)
         return raw
 

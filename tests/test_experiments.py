@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import sys
 import threading
 
@@ -298,6 +299,77 @@ def test_round_one_matrix_is_drawn_once(monkeypatch):
         A = data.loss(t).f.A
         assert np.array_equal(A.view(np.uint64), want[t - 1].view(np.uint64))
     assert sorted(drawn) == list(range(1, data.T + 1))
+
+
+def _calls_with_stalled_worker(monkeypatch, data, rounds, fail=False):
+    # the draw worker stalls until the caller has drawn a round itself, so
+    # a caller that only waits for the worker never returns: the calls run
+    # on a helper thread joined with a timeout, and the stall is released
+    # whatever happened.  With fail, the caller's first draw raises.
+    draw = video_module._draw_raw
+    caller_drew = threading.Event()
+    drawn = []  # (round, drawn on the caller's thread)
+
+    def stalling(scenario, t):
+        if threading.current_thread().name.startswith("dynmd-sensing"):
+            caller_drew.wait(timeout=60)
+            drawn.append((t, False))
+            return draw(scenario, t)
+        drawn.append((t, True))
+        first = not caller_drew.is_set()
+        caller_drew.set()
+        if fail and first:
+            raise RuntimeError(f"draw failed at round {t}")
+        return draw(scenario, t)
+
+    got = {}
+
+    def call():
+        for t in rounds:
+            try:
+                got[t] = data.matrix(t)
+            except RuntimeError as exc:
+                got[t] = exc
+
+    monkeypatch.setattr(video_module, "_draw_raw", stalling)
+    helper = threading.Thread(target=call, daemon=True)
+    helper.start()
+    try:
+        helper.join(timeout=20)
+        assert not helper.is_alive(), "the caller waited on the stalled worker"
+    finally:
+        caller_drew.set()
+        helper.join(timeout=60)
+    return drawn, got
+
+
+def test_blocked_caller_draws_a_later_round_itself(monkeypatch):
+    data = generate_video(small_scenario(T=8, seed=6))
+    drawn, got = _calls_with_stalled_worker(monkeypatch, data,
+                                            range(1, data.T + 1))
+    assert any(by_caller for _, by_caller in drawn)
+    # set-up drew round 1; every later round is drawn once, by either thread
+    assert sorted(t for t, _ in drawn) == list(range(2, data.T + 1))
+    for t in range(1, data.T + 1):
+        assert np.array_equal(got[t].view(np.uint64),
+                              _sensing_matrix(data.scenario, t).view(np.uint64))
+
+
+def test_failed_caller_draw_reaches_the_caller_of_its_round(monkeypatch):
+    # the caller that drew a later round for the worker does not raise its
+    # error; the caller of that round gets it instead of blocking
+    data = generate_video(small_scenario(T=8, seed=6))
+    drawn, got = _calls_with_stalled_worker(monkeypatch, data,
+                                            range(1, data.T + 1), fail=True)
+    failed = next(t for t, by_caller in drawn if by_caller)
+    assert failed > 2
+    assert isinstance(got[failed], RuntimeError)
+    assert str(got[failed]) == f"draw failed at round {failed}"
+    for t in range(1, data.T + 1):
+        if t != failed:
+            assert np.array_equal(
+                got[t].view(np.uint64),
+                _sensing_matrix(data.scenario, t).view(np.uint64))
 
 
 def test_matrices_handed_out_are_never_overwritten():
@@ -660,6 +732,44 @@ def test_read_losses_csv_errors(tmp_path):
         read_losses_csv(path)
     path.write_text("t,dfs\n")
     with pytest.raises(ValueError, match="no data"):
+        read_losses_csv(path)
+
+
+def test_read_losses_csv_matches_per_field_float(tmp_path):
+    # reference: each field of each non-blank data line parsed on its own
+    # with float(); the one-pass numpy parse must give the same bits, and
+    # a field only float() accepts is read row by row
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-310, 300,
+                                                              size=(40, 3))
+    lines = [",".join(f"{v:{fmt}}" for v, fmt in zip(row, (".17g", ".12g", "e")))
+             for row in vals]
+    lines[5:5] = ["", "  "]
+    lines[9] = " -0 ,\t1.,.5 "
+    path = tmp_path / "t.csv"
+    for body in (lines, lines[:12] + ["1_0,2,3"] + lines[12:]):
+        path.write_text("a,b,c\n" + "\n".join(body) + "\n")
+        want = np.array([[float(f) for f in line.split(",")]
+                         for line in body if line.strip()])
+        table = read_losses_csv(path)
+        assert list(table) == ["a", "b", "c"]
+        for j, name in enumerate(table):
+            assert np.array_equal(table[name].view(np.uint64),
+                                  want[:, j].view(np.uint64))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("t,dfs\n\n1,0.5\n\n2,inf\n", ":5: non-finite field"),
+    ("t,dfs\n1,0.5\n2,1e400\n", ":3: non-finite field"),
+    ("t,dfs,x\n1,2\n3,4\n", ":2: expected 3 fields, got 2"),
+    ("t,dfs\n1,2\n3,4,\n", ":3: expected 2 fields, got 3"),
+    ("t,dfs\n1,2\n# 3,4\n", ":3: non-numeric field"),
+    ("t,dfs\n \n\n", ": no data rows"),
+])
+def test_read_losses_csv_names_the_first_bad_line(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
         read_losses_csv(path)
 
 
