@@ -6,7 +6,6 @@ to feasible points for the sets they are used with (shifts preserve boxes
 containing 0, the attraction map preserves [-1, 1] entrywise).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -116,8 +115,8 @@ class NetworkAttraction(DynamicalModel):
     |theta_ab| the entry moves to (1 - alpha) theta_ab + alpha theta_ac* *
     theta_bc*; otherwise it is unchanged.  alpha = 0 is exactly the
     identity.  Cost is O(p^3) memory and time per application.  The search
-    for c* does not depend on alpha: _attraction_targets runs it over the
-    [c, (a, b)] score layout, and ModelStack runs it once for all the
+    for c* does not depend on alpha: _attraction_targets runs it as a max
+    and a min of signed products, and ModelStack runs it once for all the
     attraction models it holds.  A NaN candidate score wins the search (the
     lowest-index one), and since NaN > |theta_ab| is false the entry is
     then unchanged.
@@ -153,54 +152,50 @@ def _attraction_targets(thetas):
     Returns (top, best), both (B, p, p): for entry (a, b) of point k, with
     c* the lowest-index maximizer of |theta_ac| |theta_bc| over c not in
     {a, b}, top is that score and best the signed product theta_ac*
-    theta_bc*.  |x y| = |x| |y| holds exactly in floating point, so this
-    is the same c* as a search over |theta_ac theta_bc|.
+    theta_bc*.
 
-    The scores are laid out [c, (k, a, b)], so that every pass over them
-    (the max over c, the tie search and its max) runs along rows of B p^2
-    entries rather than along the p candidates; the tensor takes B p^3
-    floats.  Excluded candidates score 0, set after the product so that
-    0 * inf never enters.  Ties go to the lowest c: c* = p - 1 - max over
-    the maximizers of p - 1 - c.  A NaN score wins, the lowest-index NaN
-    first, and top is then that NaN (numpy's argmax rule).  best is one
-    gather of theta at (k, a, c*) and (k, b, c*).
+    One einsum forms S[c, (k, a, b)] = theta_kac theta_kbc from a copy of
+    theta with a zero diagonal (excluded candidates score +-0, or NaN
+    against inf or NaN): B p^3 floats, laid out so that hi = max S and
+    lo = min S reduce along rows of B p^2 entries.  As |x y| = |x| |y|
+    exactly, hi > -lo gives top = best = hi and -lo > hi gives top = -lo,
+    best = lo; hi + lo has the sign of hi - |lo| exactly.  It is 0 or NaN
+    where both signs reach the top, every score is 0 (c* may then be an
+    excluded index) or a score is NaN: _attraction_ties searches those.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 3 or thetas.shape[1] != thetas.shape[2]:
         raise ValueError(f"need a (B, p, p) stack, got shape {thetas.shape}")
+    t = thetas.transpose(2, 0, 1).copy()  # [c, k, a] = theta_kac
+    np.einsum("ckc->ck", t)[...] = 0.0  # exclude c == a and c == b
+    score = np.einsum("cka,ckb->ckab", t, t, order="C")
+    hi, lo = score.max(axis=0), score.min(axis=0)
+    gap = hi + lo
+    best = np.where(gap > 0, hi, lo)
+    top = np.abs(best)
+    np.abs(gap, out=gap)
+    if not gap.min(initial=np.inf) > 0:
+        _attraction_ties(thetas, ~(gap > 0), top, best)
+    return top, best
+
+
+def _attraction_ties(thetas, tie, top, best):
+    """Set top and best where tie holds by the search over |theta_ac|
+    |theta_bc|, excluded candidates at 0, lowest index first; a NaN score
+    wins (numpy's argmax rule).  The products at c* come from one multiply
+    over the whole stack, as a full search forms them: which of two NaNs
+    numpy's loop returns depends on an entry's place in it."""
     n, p, _ = thetas.shape
-    mag = np.abs(thetas.transpose(2, 0, 1), order="C")  # [c, k, a] = |theta_kac|
-    score = np.einsum("cka,ckb->ckab", mag, mag, order="C")
-    np.einsum("ckcb->ckb", score)[...] = 0.0  # exclude c == a
-    np.einsum("ckac->cka", score)[...] = 0.0  # exclude c == b
-    top = score.max(axis=0)
-    hit = score == top
-    nan = np.isnan(top)
-    has_nan = nan.any()
-    if has_nan:  # NaN == NaN is false: mark a NaN column's NaN scores
-        hit |= np.isnan(score) & nan
-    rows, rev = _attraction_layout(n, p)
-    cstar = (p - 1) - (hit * rev).max(axis=0)
-    if has_nan:  # which NaN max returns is numpy's choice; argmax's is c*
-        top = np.take_along_axis(score, cstar[None], axis=0)[0]
-    pair = thetas.reshape(-1)[rows + cstar]
-    return top, pair[0] * pair[1]
-
-
-@functools.lru_cache(maxsize=32)
-def _attraction_layout(n, p):
-    """Read-only index arrays of _attraction_targets for a (n, p, p) stack:
-    rows[0, k, a, b] and rows[1, k, a, b] are the flat offsets of rows
-    (k, a) and (k, b), and rev[c] = p - 1 - c in the smallest unsigned
-    dtype that holds p - 1."""
-    k = np.arange(n)[:, None, None] * (p * p)
-    a = np.arange(p)[:, None] * p
-    rows = np.stack(np.broadcast_arrays(k + a, k + a.T))
-    rev = np.arange(p - 1, -1, -1, dtype=np.min_scalar_type(p - 1))
-    rev = rev.reshape(p, 1, 1, 1)
-    rows.flags.writeable = False
-    rev.flags.writeable = False
-    return rows, rev
+    k, a, b = np.nonzero(tie)
+    score = np.abs(thetas[k, a]) * np.abs(thetas[k, b])
+    i = np.arange(len(k))
+    score[i, a] = 0.0
+    score[i, b] = 0.0
+    cstar = np.zeros(tie.shape, dtype=int)
+    cstar[tie] = c = score.argmax(axis=1)
+    top[tie] = score[i, c]
+    k, rows = np.arange(n)[:, None, None], np.arange(p)
+    best[tie] = (thetas[k, rows[:, None], cstar] * thetas[k, rows, cstar])[tie]
 
 
 def _attraction_blend(theta, top, best, alpha):
@@ -227,9 +222,9 @@ class ModelStack:
     stack keeps the last index of each kind, so a pool builds apply's once
     and a run of equal chunks builds images' once.  Attraction models
     share one _attraction_targets call on the points they read, whose
-    [c, (k, a, b)] score layout and lowest-index tie rule give each point
-    the same c* as its lone apply, and one broadcast blend with one alpha
-    per model.  Any other model calls its apply point by point.  Each
+    signed max and min over c and per-entry tie search give each point the
+    same c* as its lone apply, and one broadcast blend with one alpha per
+    model.  Any other model calls its apply point by point.  Each
     group's rows are addressed by a slice when they are contiguous (a
     pool of alpha = 0 and attraction experts is one gathered row, then
     the attraction rows), so apply reads them as views and writes them

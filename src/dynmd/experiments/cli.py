@@ -150,7 +150,10 @@ def cmd_run_video(args):
 
 def cmd_run_votes(args):
     opts = vars(args)
-    models = [NetworkAttraction(a) for a in parse_floats(opts["alphas"])]
+    try:
+        models = [NetworkAttraction(a) for a in parse_floats(opts["alphas"])]
+    except ValueError as exc:  # name the option
+        raise ValueError(f"alphas {opts['alphas']!r}: {exc}") from None
     labels = [model.label for model in models]
     for i, label in enumerate(labels):
         if label in labels[:i]:

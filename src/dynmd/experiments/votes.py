@@ -94,9 +94,9 @@ _EXP_MARGIN = 1e-12
 
 def _gibbs_sweeps(theta, x, sweeps, rng):
     # sequential single-site resampling; the conditional odds of +1 follow
-    # the same per-agent terms the vote fit objective scores.  The row
-    # products stay BLAS dots of views of theta against x, which is kept
-    # current, so they round as theta[a] @ x does; xs mirrors x as floats.
+    # the vote fit objective's per-agent terms.  Row products are BLAS dots
+    # of views of theta against x, so they round as theta[a] @ x does; x
+    # and its float mirror xs are written where a vote flips.
     p = x.shape[0]
     uniforms = iter(rng.random(sweeps * p).tolist())
     sites = list(zip(range(p), [row.dot for row in theta],
@@ -116,8 +116,8 @@ def _gibbs_sweeps(theta, x, sweeps, rng):
                 with np.errstate(over="ignore"):
                     prob = 1.0 / (1.0 + np.exp(-2.0 * h))
             v = 1.0 if u < prob else -1.0
-            x[a] = v
-            xs[a] = v
+            if v != xs[a]:
+                x[a] = xs[a] = v
     return x
 
 
@@ -135,6 +135,8 @@ def synthetic_votes(n_agents=20, T=2000, drift_alpha=0.003, seed=0,
         raise ValueError(f"n_agents must be >= 1, got {n_agents}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    if not (0.0 <= drift_alpha <= 1.0):
+        raise ValueError(f"drift_alpha must lie in [0, 1], got {drift_alpha}")
     if not (0.0 < init_scale <= 1.0):
         raise ValueError(f"init_scale must lie in (0, 1], got {init_scale}")
     if not (0.0 <= missing_prob < 1.0):

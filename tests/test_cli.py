@@ -129,6 +129,23 @@ def test_run_votes_rejects_repeated_expert_labels(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--drift-alpha", "2", "drift_alpha must lie in [0, 1], got 2.0"),
+    ("--drift-alpha", "nan", "drift_alpha must lie in [0, 1], got nan"),
+    ("--alphas", "0,1.5", "alphas '0,1.5': alpha must lie in [0, 1], got 1.5"),
+    ("--alphas", "0.002,-0.1",
+     "alphas '0.002,-0.1': alpha must lie in [0, 1], got -0.1")],
+    ids=["drift-above", "drift-nan", "alphas-above", "alphas-below"])
+def test_run_votes_names_the_alpha_outside_the_unit_interval(
+        tmp_path, capsys, flag, value, message):
+    # NetworkAttraction's own message names neither option
+    out = tmp_path / "vv"
+    assert main(["run-votes", "--agents", "4", "--t", "5", flag, value,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_votes_rejects_bad_gibbs_sweeps(tmp_path, capsys):
     for sweeps in ("0", "-1"):
         assert main(["run-votes", "--agents", "4", "--t", "5", "--sweeps",

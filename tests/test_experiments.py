@@ -499,6 +499,10 @@ def test_synthetic_votes_properties():
         synthetic_votes(n_agents=4, T=5, sweeps=0)
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         synthetic_votes(n_agents=4, T=5, seed=-1)
+    for alpha in (2, -0.5, float("nan")):
+        with pytest.raises(ValueError, match=rf"^drift_alpha must lie in "
+                           rf"\[0, 1\], got {alpha}$"):
+            synthetic_votes(n_agents=4, T=5, drift_alpha=alpha)
     with pytest.raises(ValueError, match="burn_in"):
         synthetic_votes(n_agents=4, T=5, burn_in=-1)
     with pytest.raises(ValueError, match="n_agents"):
