@@ -6,7 +6,10 @@ to feasible points for the sets they are used with (shifts preserve boxes
 containing 0, the attraction map preserves [-1, 1] entrywise).
 """
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,14 @@ DIRECTIONS = (
 
 # bytes of arrays that ModelStack.images aims to allocate per call
 _SCRATCH_BYTES = 1 << 20
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class DynamicalModel:
@@ -140,7 +151,7 @@ class NetworkAttraction(DynamicalModel):
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
             raise ValueError(f"theta must be square, got shape {theta.shape}")
-        if self.alpha == 0.0:
+        if self.alpha == 0.0 or theta.size == 0:
             return theta.copy()
         top, best = _attraction_targets(theta[None])
         return _attraction_blend(theta, top[0], best[0], self.alpha)
@@ -270,6 +281,8 @@ class ModelStack:
         src holds a row per model (B = 1), else of src[0]."""
         own = len(src) > 1
         shape = (len(self.models),) + src.shape[1:]
+        if self.size == 0:  # every image of a zero-size point is empty
+            return np.empty(shape)
         if self._gathered:
             # an index, not np.take: take copies a read-only index each call
             index = self._gather_index(own, src.shape[1])
@@ -312,7 +325,10 @@ class ModelStack:
         """Points per images() call whose arrays take about 1 MB: the N
         images of a point (model_deviations turns them into differences
         in place) and their gather index, or its p^3 attraction scores if
-        larger."""
+        larger.  The budget is per thread: a stack that one gather moves
+        whole runs the second half of a pass's chunks on a helper thread
+        when two CPUs are free (_run_chunks), one with attraction or
+        per-point models runs them all on the caller's."""
         per_point = (len(self.models) * (self.size + 1)
                      + len(self._gathered) * self.size)
         if self._attraction:
@@ -333,11 +349,58 @@ def _padded(stack):
     return np.concatenate([flat, np.zeros((len(flat), 1))], axis=1)
 
 
+def _run_chunks(stack, n, work):
+    """Calls work(stack, lo, hi) for the chunks [lo, hi) of range(n), each
+    stack.chunk_length() long.
+
+    The pass splits when one gather moves every model of the stack, it
+    spans two chunks or more and the process may run on two CPUs: one
+    helper thread then runs the second half of the chunks with a stack of
+    its own, built here, in a copy of the caller's context (so numpy's
+    error state is the caller's).  The caller runs the first half, joins
+    the helper and raises the error it hit.  work writes disjoint slices
+    and the chunks are those of the serial pass, so every output keeps its
+    bits.  A stack with attraction or per-point models stays serial: those
+    hold the GIL longer, and splitting votes-pool's pass made it slower.
+    """
+    chunk = stack.chunk_length()
+    starts = range(0, n, chunk)
+    helper, errors = None, []
+    if len(starts) >= 2 and len(stack._gathered) == len(stack.models) \
+            and _cpu_count() >= 2:
+        split = (len(starts) + 1) // 2
+        starts, theirs = starts[:split], starts[split:]
+        other = ModelStack(stack.models, stack.shape)
+
+        def second_half():
+            try:
+                for lo in theirs:
+                    work(other, lo, min(lo + chunk, n))
+            except BaseException as exc:  # raised again by the caller
+                errors.append(exc)
+
+        helper = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(second_half,), name="dynmd-chunks")
+        helper.start()
+    try:
+        for lo in starts:
+            work(stack, lo, min(lo + chunk, n))
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
 def model_deviations(points, models):
     """(T, N) matrix of ||points[t+1] - models[i].apply(points[t])||
     for a path of T + 1 points, t = 0 .. T-1, Euclidean over flattened
-    points.  The points are moved ModelStack.chunk_length() at a time, so
-    scratch memory stays near 1 MB whatever T is."""
+    points; zero-size points deviate by 0.  The points are moved
+    ModelStack.chunk_length() at a time, so scratch memory stays near 1 MB
+    per thread whatever T is.  When one gather moves every model (shifts,
+    identity, attraction with alpha = 0) and two CPUs are free, a helper
+    thread moves the second half of the chunks (_run_chunks); the output
+    is the same bit for bit."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim < 2 or pts.shape[0] < 2:
         raise ValueError("a path needs at least two stacked points")
@@ -345,15 +408,15 @@ def model_deviations(points, models):
     if not models:
         raise ValueError("at least one model is required")
     T = pts.shape[0] - 1
-    stack = ModelStack(models, pts.shape[1:])
-    chunk = stack.chunk_length()
     out = np.empty((T, len(models)))
-    for lo in range(0, T, chunk):
-        hi = min(lo + chunk, T)
+
+    def deviations(stack, lo, hi):
         diff = stack.images(pts[lo:hi])
         np.subtract(pts[lo + 1:hi + 1], diff, out=diff)
-        diff = diff.reshape(len(models), hi - lo, -1)
+        diff = diff.reshape(len(models), hi - lo, stack.size)
         out[lo:hi] = np.sqrt(np.einsum("nkj,nkj->kn", diff, diff))
+
+    _run_chunks(ModelStack(models, pts.shape[1:]), T, deviations)
     return out
 
 
@@ -386,7 +449,9 @@ def audit_contraction(model, geom, fset, n_pairs=1000, seed=0, threshold=1e-10):
     one on ties).  The estimate is a sampled lower bound on the true
     supremum; violation flags estimate > threshold.  Deterministic for a
     fixed seed.  The pairs are moved ModelStack.chunk_length() at a time,
-    so scratch memory stays near 1 MB whatever n_pairs is.
+    so scratch memory stays near 1 MB per thread whatever n_pairs is; as
+    in model_deviations, a model that only moves entries splits the chunks
+    with one helper thread when two CPUs are free (_run_chunks).
     """
     n_pairs = _as_integer(n_pairs, "n_pairs", 1)
     if not math.isfinite(threshold):
@@ -394,16 +459,17 @@ def audit_contraction(model, geom, fset, n_pairs=1000, seed=0, threshold=1e-10):
     rng = np.random.default_rng(seed)
     a_pts = fset.sample(rng, n_pairs)
     b_pts = fset.sample(rng, n_pairs)
-    stack = ModelStack([model], fset.shape)
-    chunk = stack.chunk_length()
     zero = np.zeros(fset.shape)
     gaps = np.empty(n_pairs)
-    for lo in range(0, n_pairs, chunk):
-        a, b = a_pts[lo:lo + chunk], b_pts[lo:lo + chunk]
+
+    def expansion(stack, lo, hi):
+        a, b = a_pts[lo:hi], b_pts[lo:hi]
         moved = stack.images(a)[0] - stack.images(b)[0]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            gaps[lo:lo + chunk] = (geom.divergences(zero, moved)
-                                   - geom.divergences(zero, a - b))
+            gaps[lo:hi] = (geom.divergences(zero, moved)
+                           - geom.divergences(zero, a - b))
+
+    _run_chunks(ModelStack([model], fset.shape), n_pairs, expansion)
     if not np.isfinite(gaps).all():  # NaN > threshold is false: never [ok]
         bad = int(np.argmin(np.isfinite(gaps)))
         raise ValueError(f"{model.label}: the divergence gap of pair {bad} is "

@@ -228,6 +228,7 @@ class VideoData:
     def matrix(self, t):
         """Sensing matrix of round t (1-based), regenerated from its seed;
         starts the draws of the next LOOKAHEAD rounds."""
+        t = _as_integer(t, "t", 1)
         if not (1 <= t <= self.T):
             raise ValueError(f"t must lie in [1, {self.T}], got {t}")
         if self.scenario.identity_sensing:
@@ -241,6 +242,7 @@ class VideoData:
         each round: a non-finite one surfaces as the run's non-finite loss
         value, named with its round and expert."""
         tau = self.tau_default if tau is None else tau
+        t = _as_integer(t, "t", 1)
         A = self.matrix(t)
         x = A @ self.frames[t - 1] + self.noise[t - 1]
         return CompositeLoss(LeastSquaresLoss(A, x), L1Regularizer(tau))

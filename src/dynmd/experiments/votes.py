@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dynamics import NetworkAttraction
+from ..geometry import _as_integer
 from ..losses import vote_pseudolikelihood
 
 
@@ -48,6 +49,7 @@ class VoteStream:
 
     def loss(self, t, tau=0.0):
         """Round-t vote fit objective (1-based)."""
+        t = _as_integer(t, "t", 1)
         if not (1 <= t <= self.T):
             raise ValueError(f"t must lie in [1, {self.T}], got {t}")
         return vote_pseudolikelihood(self.votes[t - 1], tau=tau)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -234,6 +236,25 @@ def _deviation_loop(points, models):
     return images, norms
 
 
+def _on_cpus(cpus, fn, *args):
+    """fn(*args) with the CPU count patched to cpus, and how many threads
+    called ModelStack.images; no thread may be left running."""
+    callers = set()
+    images = ModelStack.images
+
+    def recording(self, points):
+        callers.add(threading.get_ident())
+        return images(self, points)
+
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_cpu_count", lambda: cpus)
+        mp.setattr(ModelStack, "images", recording)
+        out = fn(*args)
+    assert threading.active_count() == before
+    return out, len(callers)
+
+
 @pytest.mark.parametrize("kind", ["zero", "wrap", "attraction"])
 @pytest.mark.parametrize("scratch", [None, 3000])
 def test_model_deviations_match_per_point_apply(kind, scratch, monkeypatch):
@@ -253,9 +274,20 @@ def test_model_deviations_match_per_point_apply(kind, scratch, monkeypatch):
     stack = ModelStack(models, points.shape[1:])
     assert scratch is None or stack.chunk_length() < T
     assert same_bits(stack.images(points[:-1]), want_images)
-    got = model_deviations(points, models)
+    got, threads = _on_cpus(2, model_deviations, points, models)
+    assert threads == 1  # attraction or per-point models: never split
     assert got.shape == (T, len(models))
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    # the models one gather moves split the pass on two CPUs when it
+    # spans two chunks, with the serial pass's bits
+    cols = [i for i, m in enumerate(models) if m.source_index(stack.size) is not None]
+    moved = [models[i] for i in cols]
+    serial, threads = _on_cpus(1, model_deviations, points, moved)
+    assert threads == 1
+    assert np.allclose(serial, want[:, cols], rtol=1e-14, atol=0.0)
+    split, threads = _on_cpus(2, model_deviations, points, moved)
+    assert threads == (1 if scratch is None else 2)
+    assert same_bits(split, serial)
 
 
 def _images_per_model(stack, points):
@@ -321,7 +353,12 @@ def test_model_stack_images_match_per_model_gather(codes, p, chunk, lengths, see
         diff = path[1:] - _images_per_model(stack, path[:-1])
         diff = diff.reshape(len(models), len(path) - 1, -1)
         want = np.sqrt(np.einsum("nkj,nkj->kn", diff, diff))
-        assert same_bits(model_deviations(path, models), want)
+        for cpus in (1, 2):
+            # three chunks: split on two CPUs if one gather moves them all
+            got, threads = _on_cpus(cpus, model_deviations, path, models)
+            assert same_bits(got, want)
+            assert threads == (2 if cpus == 2 and len(stack._gathered) == len(models)
+                               else 1)
     index = stack._indexes.get(False)  # images' kept index
     assert (index is None) == (not stack._gathered)
     if index is not None:
@@ -333,6 +370,73 @@ def test_model_stack_images_match_per_model_gather(codes, p, chunk, lengths, see
         other.images(points)
         assert not np.shares_memory(other._indexes[False], index)
         assert same_bits(other._indexes[False], index) == (len(points) == index.shape[1])
+
+
+def _big_path(monkeypatch):
+    # 40 one-point chunks of a 3 x 4 shift family: the caller moves rows
+    # 0-19, a helper 20-39, and only rows 30 on overflow when subtracted
+    monkeypatch.setattr(dynamics, "_SCRATCH_BYTES", 3000)
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(41, 12))
+    points[30::2], points[31::2] = 1.5e308, -1.5e308
+    return points, shift_family(3, 4)
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_split_pass_raises_either_half_error(failing, monkeypatch):
+    points, models = _big_path(monkeypatch)
+    caller = threading.get_ident()
+    images = ModelStack.images
+
+    def images_or_raise(self, pts):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise RuntimeError(f"{failing} chunk")
+        return images(self, pts)
+
+    monkeypatch.setattr(ModelStack, "images", images_or_raise)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^{failing} chunk$"):
+        _on_cpus(2, model_deviations, points[:30], models)
+    assert threading.active_count() == before
+
+
+def test_split_pass_keeps_the_callers_error_state(monkeypatch):
+    points, models = _big_path(monkeypatch)
+    for cpus in (1, 2):
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                _on_cpus(cpus, model_deviations, points, models)
+        with np.errstate(over="ignore"):  # no warning, which tests raise
+            got, threads = _on_cpus(cpus, model_deviations, points, models)
+        assert threads == cpus
+        assert np.isfinite(got[:29]).all() and np.isinf(got[30:]).all()
+
+
+@pytest.mark.parametrize("model", [PixelShift(3, 4, 4, boundary="wrap"),
+                                   NetworkAttraction(0.0), NetworkAttraction(0.3)])
+def test_audit_split_matches_serial(model, monkeypatch):
+    monkeypatch.setattr(dynamics, "_SCRATCH_BYTES", 2000)
+    geom, fset = SquaredEuclidean(0.5), Box(-1.0, 1.0, shape=(4, 4))
+    serial, threads = _on_cpus(1, audit_contraction, model, geom, fset, 300, 4)
+    assert threads == 1
+    split, threads = _on_cpus(2, audit_contraction, model, geom, fset, 300, 4)
+    assert threads == (1 if model.source_index(16) is None else 2)
+    assert same_bits(split.estimate, serial.estimate)
+    assert same_bits(split.worst_a, serial.worst_a)
+    assert same_bits(split.worst_b, serial.worst_b)
+
+
+def test_zero_size_points_have_empty_images():
+    # every model kind maps a zero-size point to the empty point, which a
+    # path of them follows with deviation 0
+    assert NetworkAttraction(0.5).apply(np.zeros((0, 0))).shape == (0, 0)
+    assert model_deviations(np.zeros((4, 0)), [IdentityModel()]).tolist() == [[0.0]] * 3
+    models = [IdentityModel(), NetworkAttraction(0.0), NetworkAttraction(0.5),
+              _Doubling()]
+    stack = ModelStack(models, (0, 0))
+    assert stack.apply(np.zeros((4, 0, 0))).shape == (4, 0, 0)
+    assert stack.images(np.zeros((3, 0, 0))).shape == (4, 3, 0, 0)
+    got = model_deviations(np.zeros((5, 0, 0)), models)
+    assert same_bits(got, np.zeros((4, 4)))
 
 
 def test_model_stack_images_gather_rows_in_place():

@@ -430,6 +430,23 @@ def test_video_scenario_validation():
         data.matrix(5)
 
 
+def test_round_index_must_be_an_integer():
+    # 2.0 is round 2; 1.5 names the round index, not numpy or range()
+    data = generate_video(small_scenario())
+    theta = np.random.default_rng(2).uniform(size=data.n_pixels)
+    assert np.array_equal(data.matrix(2.0), data.matrix(2))
+    assert data.loss(np.float64(2.0)).value(theta) == data.loss(2).value(theta)
+    stream = VoteStream(np.array([[1, -1], [0, 1]]))
+    point = np.array([[0.2, -0.1], [0.3, 0.4]])
+    assert stream.loss(2.0).value(point) == stream.loss(2).value(point)
+    for call in (data.matrix, data.loss, stream.loss):
+        for t in (1.5, np.nan, "2", None):
+            with pytest.raises(ValueError, match=r"^t must be an integer >= 1"):
+                call(t)
+        with pytest.raises(ValueError, match=r"^t must lie in \[1, "):
+            call(5.0)
+
+
 def test_votes_roundtrip(tmp_path):
     stream, _ = synthetic_votes(n_agents=5, T=12, drift_alpha=0.01, seed=3,
                                 sweeps=2, missing_prob=0.2)
