@@ -6,7 +6,6 @@ to feasible points for the sets they are used with (shifts preserve boxes
 containing 0, the attraction map preserves [-1, 1] entrywise).
 """
 
-import contextvars
 import math
 import os
 import threading
@@ -80,21 +79,18 @@ class PixelShift(DynamicalModel):
     to 7 = SE); diagonal members move one pixel along each axis.  boundary
     is "zero" (content shifted past the edge is dropped, vacated pixels are
     zero) or "wrap" (toroidal roll).  Input may be a (rows, cols) image or
-    its flattened vector; the output matches the input shape.
+    its flattened vector; the output matches the input shape.  direction,
+    rows and cols are integers (2.0 is 2; 4.5 raises ValueError).
     """
 
     def __init__(self, direction, rows, cols, boundary="zero"):
-        if direction not in range(8):
-            raise ValueError(f"direction must be in 0..7, got {direction}")
-        if rows < 1 or cols < 1:
-            raise ValueError(f"grid must be at least 1x1, got {rows}x{cols}")
+        self.direction = _as_integer(direction, "direction", 0, 7)
+        self.rows = _as_integer(rows, "rows", 1)
+        self.cols = _as_integer(cols, "cols", 1)
         if boundary not in ("zero", "wrap"):
             raise ValueError(f"boundary must be 'zero' or 'wrap', got {boundary!r}")
-        self.direction = int(direction)
-        self.rows = int(rows)
-        self.cols = int(cols)
         self.boundary = boundary
-        self.label, self.dr, self.dc = DIRECTIONS[direction]
+        self.label, self.dr, self.dc = DIRECTIONS[self.direction]
         # output pixel (i, j) reads input pixel (i - dr, j - dc)
         r = np.arange(self.rows)[:, None] - self.dr
         c = np.arange(self.cols)[None, :] - self.dc
@@ -356,8 +352,8 @@ def _run_chunks(stack, n, work):
     The pass splits when one gather moves every model of the stack, it
     spans two chunks or more and the process may run on two CPUs: one
     helper thread then runs the second half of the chunks with a stack of
-    its own, built here, in a copy of the caller's context (so numpy's
-    error state is the caller's).  The caller runs the first half, joins
+    its own, built here, under the caller's numpy error state (numpy 1.x
+    keeps that state per thread).  The caller runs the first half, joins
     the helper and raises the error it hit.  work writes disjoint slices
     and the chunks are those of the serial pass, so every output keeps its
     bits.  A stack with attraction or per-point models stays serial: those
@@ -371,16 +367,17 @@ def _run_chunks(stack, n, work):
         split = (len(starts) + 1) // 2
         starts, theirs = starts[:split], starts[split:]
         other = ModelStack(stack.models, stack.shape)
+        saved = np.geterr()
 
         def second_half():
             try:
-                for lo in theirs:
-                    work(other, lo, min(lo + chunk, n))
+                with np.errstate(**saved):
+                    for lo in theirs:
+                        work(other, lo, min(lo + chunk, n))
             except BaseException as exc:  # raised again by the caller
                 errors.append(exc)
 
-        helper = threading.Thread(target=contextvars.copy_context().run,
-                                  args=(second_half,), name="dynmd-chunks")
+        helper = threading.Thread(target=second_half, name="dynmd-chunks")
         helper.start()
     try:
         for lo in starts:
@@ -448,12 +445,14 @@ def audit_contraction(model, geom, fset, n_pairs=1000, seed=0, threshold=1e-10):
     D(Phi a || Phi b) - D(a || b) together with the worst pair (the first
     one on ties).  The estimate is a sampled lower bound on the true
     supremum; violation flags estimate > threshold.  Deterministic for a
-    fixed seed.  The pairs are moved ModelStack.chunk_length() at a time,
-    so scratch memory stays near 1 MB per thread whatever n_pairs is; as
-    in model_deviations, a model that only moves entries splits the chunks
+    fixed seed; n_pairs >= 1 and seed >= 0 are integers (2.0 is 2).  The
+    pairs are moved ModelStack.chunk_length() at a time, so scratch memory
+    stays near 1 MB per thread whatever n_pairs is; as in
+    model_deviations, a model that only moves entries splits the chunks
     with one helper thread when two CPUs are free (_run_chunks).
     """
     n_pairs = _as_integer(n_pairs, "n_pairs", 1)
+    seed = _as_integer(seed, "seed", 0)
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     rng = np.random.default_rng(seed)
@@ -479,8 +478,8 @@ def audit_contraction(model, geom, fset, n_pairs=1000, seed=0, threshold=1e-10):
     return ContractionAudit(
         model_label=model.label,
         estimate=float(gaps[worst]),
-        n_pairs=int(n_pairs),
-        seed=int(seed),
+        n_pairs=n_pairs,
+        seed=seed,
         threshold=float(threshold),
         violation=bool(gaps[worst] > threshold),
         worst_a=a_pts[worst].copy(),

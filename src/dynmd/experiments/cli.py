@@ -20,7 +20,7 @@ import numpy as np
 from ..dmd import dmd_init
 from ..dynamics import NetworkAttraction, shift_family
 from ..fixedshare import default_lambda
-from ..geometry import Box, DoublingStep, SquaredEuclidean
+from ..geometry import Box, DoublingStep, SquaredEuclidean, _as_integer
 from ..regret import tracking_decomposition_from_losses
 from .config import parse_bool, parse_config, parse_floats, parse_trajectory
 from .runner import (
@@ -225,15 +225,13 @@ def cmd_audit_dynamics(args):
     geom = SquaredEuclidean(opts["c"])
     jobs = []
     if opts["model"] in ("shift", "all"):
+        models = shift_family(opts["rows"], opts["cols"], boundary=opts["boundary"])
         fset = Box(opts["box_lo"], opts["box_hi"],
                    shape=(opts["rows"] * opts["cols"],))
-        for model in shift_family(opts["rows"], opts["cols"],
-                                  boundary=opts["boundary"]):
-            jobs.append((model, fset))
+        jobs.extend((model, fset) for model in models)
     if opts["model"] in ("attraction", "all"):
-        if opts["agents"] < 1:
-            raise ValueError(f"agents must be >= 1, got {opts['agents']}")
-        fset = Box(-1.0, 1.0, shape=(opts["agents"], opts["agents"]))
+        agents = _as_integer(opts["agents"], "agents", 1)
+        fset = Box(-1.0, 1.0, shape=(agents, agents))
         jobs.append((NetworkAttraction(opts["alpha"]), fset))
     if not jobs:
         raise ValueError(f"model must be shift, attraction, or all, "

@@ -20,7 +20,7 @@ import numpy as np
 from ..dmd import require_finite
 from ..dynamics import model_deviations
 from ..fixedshare import dfs_step, fixed_share_init
-from ..geometry import BoundConstants
+from ..geometry import BoundConstants, _as_integer
 from ..regret import (
     path_points,
     theorem2_curve,
@@ -79,8 +79,7 @@ def run_scenario(losses, T, experts, lam=0.01, eta_r=None, comparator=None):
     (per_agent_values), the aggregate's per-agent values are recorded, and
     their sum plus loss.r is its loss (f.value must be that sum).
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"T must be an integer >= 1, got {T!r}")
+    T = _as_integer(T, "T", 1)
     if eta_r is None:
         eta_r = 1.0 / math.sqrt(T)
     state = fixed_share_init(experts, lam=lam, eta_r=eta_r)

@@ -47,6 +47,10 @@ LOOKAHEAD = 3  # rounds whose sensing matrices are drawn ahead of the caller
 
 @dataclass(frozen=True)
 class VideoScenario:
+    """A block moving over a rows x cols grid for T rounds.  Its sizes,
+    start, seed and legs are stored as int (2.0 is 2; 2.5, NaN or inf
+    raise ValueError naming the field)."""
+
     rows: int = 32
     cols: int = 32
     block_size: int = 4
@@ -62,25 +66,23 @@ class VideoScenario:
     identity_sensing: bool = False
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must have positive dimensions")
-        if not (1 <= self.block_size <= min(self.rows, self.cols)):
-            raise ValueError(f"block_size must lie in [1, {min(self.rows, self.cols)}]")
-        if not (0 <= self.start_row <= self.rows - self.block_size):
-            raise ValueError(f"start_row must lie in [0, {self.rows - self.block_size}]")
-        if not (0 <= self.start_col <= self.cols - self.block_size):
-            raise ValueError(f"start_col must lie in [0, {self.cols - self.block_size}]")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.measurements < 1:
-            raise ValueError(f"measurements must be >= 1, got {self.measurements}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("rows", 1), ("cols", 1), ("T", 1),
+                          ("measurements", 1), ("seed", 0)):
+            value = _as_integer(getattr(self, name), name, low)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "block_size", _as_integer(
+            self.block_size, "block_size", 1, min(self.rows, self.cols)))
+        for name, room in (("start_row", self.rows - self.block_size),
+                           ("start_col", self.cols - self.block_size)):
+            value = _as_integer(getattr(self, name), name, 0, room)
+            object.__setattr__(self, name, value)
         if not (0 <= self.noise_std < math.inf):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.boundary not in ("clip", "wrap"):
             raise ValueError(f"boundary must be 'clip' or 'wrap', got {self.boundary!r}")
-        legs = tuple(tuple(leg) for leg in self.trajectory)
+        legs = tuple((_as_integer(s, "a leg start", 1, self.T),
+                      _as_integer(d, "a leg direction", 0, STAY))
+                     for s, d in self.trajectory)
         if len(legs) == 0:
             raise ValueError("trajectory needs at least one leg")
         if legs[0][0] != 1:
@@ -88,16 +90,11 @@ class VideoScenario:
         starts = [s for s, _ in legs]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("leg start rounds must be strictly increasing")
-        if any(_as_integer(s, "a leg start", 1) > self.T for s, _ in legs):
-            raise ValueError(f"leg starts must lie in [1, {self.T}]")
-        if any(d not in range(9) for _, d in legs):
-            raise ValueError("directions must be integer codes 0..8")
         object.__setattr__(self, "trajectory", legs)
 
     def direction_at(self, t):
         """Direction code driving the move from frame t to frame t + 1."""
-        if not (1 <= t <= self.T):
-            raise ValueError(f"t must lie in [1, {self.T}], got {t}")
+        t = _as_integer(t, "t", 1, self.T)
         code = self.trajectory[0][1]
         for start, d in self.trajectory:
             if t >= start:
@@ -228,9 +225,7 @@ class VideoData:
     def matrix(self, t):
         """Sensing matrix of round t (1-based), regenerated from its seed;
         starts the draws of the next LOOKAHEAD rounds."""
-        t = _as_integer(t, "t", 1)
-        if not (1 <= t <= self.T):
-            raise ValueError(f"t must lie in [1, {self.T}], got {t}")
+        t = _as_integer(t, "t", 1, self.T)
         if self.scenario.identity_sensing:
             return self._sensing
         return self._sensing.matrix(t)

@@ -49,9 +49,7 @@ class VoteStream:
 
     def loss(self, t, tau=0.0):
         """Round-t vote fit objective (1-based)."""
-        t = _as_integer(t, "t", 1)
-        if not (1 <= t <= self.T):
-            raise ValueError(f"t must lie in [1, {self.T}], got {t}")
+        t = _as_integer(t, "t", 1, self.T)
         return vote_pseudolikelihood(self.votes[t - 1], tau=tau)
 
 
@@ -132,23 +130,19 @@ def synthetic_votes(n_agents=20, T=2000, drift_alpha=0.003, seed=0,
     samples warm-started from the previous round.  Returns (VoteStream,
     thetas) with thetas the (T + 1, p, p) hidden path: thetas[t - 1]
     generated the round-t votes, and thetas[T] is the drift's last step.
+    The counts and the seed are integers (4.0 is 4; 4.5 raises ValueError).
     """
-    if n_agents < 1:
-        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    n_agents = _as_integer(n_agents, "n_agents", 1)
+    T = _as_integer(T, "T", 1)
     if not (0.0 <= drift_alpha <= 1.0):
         raise ValueError(f"drift_alpha must lie in [0, 1], got {drift_alpha}")
     if not (0.0 < init_scale <= 1.0):
         raise ValueError(f"init_scale must lie in (0, 1], got {init_scale}")
     if not (0.0 <= missing_prob < 1.0):
         raise ValueError(f"missing_prob must lie in [0, 1), got {missing_prob}")
-    if sweeps < 1:
-        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    sweeps = _as_integer(sweeps, "sweeps", 1)
+    burn_in = _as_integer(burn_in, "burn_in", 0)
+    seed = _as_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     model = NetworkAttraction(drift_alpha)
     theta = rng.uniform(-init_scale, init_scale, size=(n_agents, n_agents))

@@ -14,14 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _as_integer(value, name, low):
-    """value as an int, else ValueError naming it (NaN, +-inf, 1.5, < low)."""
+def _as_integer(value, name, low, high=None):
+    """value as an int (2.0 and np.int64(2) are 2), else ValueError naming
+    it (NaN, +-inf, 1.5, < low, > high); every count, index and seed."""
     try:
-        if int(value) == value >= low:
-            return int(value)
+        n = int(value)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+        n = None
+    if n is None or n != value or n < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+    if high is not None and n > high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    return n
 
 
 def _as_array(p, name="point"):
@@ -97,12 +101,14 @@ class FeasibleSet:
 class Unconstrained(FeasibleSet):
     """All of R^shape; projection is the identity.
 
-    sample() draws standard normal points (documented convention: the set is
+    shape is an integer >= 0 or a sequence of them (2.0 is 2).  sample()
+    draws standard normal points (documented convention: the set is
     unbounded, so audits use a unit-scale Gaussian cloud).
     """
 
     def __init__(self, shape):
-        self.shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
+        self.shape = tuple(_as_integer(n, "shape", 0)
+                           for n in (shape if np.iterable(shape) else (shape,)))
 
     def project(self, p):
         return self._check_stack(p)
@@ -119,7 +125,8 @@ class Unconstrained(FeasibleSet):
 
 
 class Box(FeasibleSet):
-    """Axis-aligned box {lo <= theta <= hi}; projection clamps per coordinate."""
+    """Axis-aligned box {lo <= theta <= hi}; projection clamps per coordinate.
+    shape defaults to that of lo and hi, and is checked as Unconstrained's."""
 
     def __init__(self, lo, hi, shape=None):
         lo = np.asarray(lo, dtype=float)
@@ -128,9 +135,8 @@ class Box(FeasibleSet):
             if lo.shape == () and hi.shape == ():
                 raise ValueError("scalar bounds require an explicit shape")
             shape = np.broadcast_shapes(lo.shape, hi.shape)
-        elif isinstance(shape, int):
-            shape = (shape,)
-        self.shape = tuple(shape)
+        self.shape = tuple(_as_integer(n, "shape", 0)
+                           for n in (shape if np.iterable(shape) else (shape,)))
         self.lo = np.broadcast_to(lo, self.shape).astype(float)
         self.hi = np.broadcast_to(hi, self.shape).astype(float)
         if not np.all((self.lo <= self.hi) & (self.lo < np.inf) & (self.hi > -np.inf)):
@@ -169,8 +175,8 @@ class Ball(FeasibleSet):
 
     def __init__(self, center, radius, norm=2):
         self.center = _as_array(center, "center")
-        if not (radius > 0):
-            raise ValueError(f"radius must be positive, got {radius}")
+        if not (0 < radius < math.inf):
+            raise ValueError(f"radius must be positive and finite, got {radius}")
         if norm not in (1, 2):
             raise ValueError(f"norm must be 1 or 2, got {norm}")
         self.radius = float(radius)

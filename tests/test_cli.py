@@ -239,18 +239,19 @@ def test_extreme_finite_parameters_are_clean_errors(tmp_path, capsys, recwarn,
 
 
 @pytest.mark.parametrize("command,named", [
-    (VIDEO_ARGS + ["--seed", "-1"], ["seed must be >= 0, got -1"]),
-    (VOTES_SMALL + ["--seed", "-1"], ["seed must be >= 0, got -1"]),
+    (VIDEO_ARGS + ["--seed", "-1"], ["seed must be an integer >= 0, got -1"]),
+    (VOTES_SMALL + ["--seed", "-1"], ["seed must be an integer >= 0, got -1"]),
     (["audit-dynamics", "--model", "attraction", "--agents", "0"],
-     ["agents must be >= 1, got 0"]),
+     ["agents must be an integer >= 1, got 0"]),
     (["audit-dynamics", "--model", "attraction", "--agents", "-1"],
-     ["agents must be >= 1, got -1"]),
+     ["agents must be an integer >= 1, got -1"]),
+    (["audit-dynamics", "--rows", "-1"], ["rows must be an integer >= 1, got -1"]),
     (VIDEO_ARGS + ["--tau", "1e300"],
      ["subgradient norm overflows at round t=1, comparator", "tau"]),
     (VOTES_SMALL + ["--tau", "1e300"],
      ["subgradient norm overflows at round t=1, comparator", "tau"]),
-], ids=["video-seed", "votes-seed", "agents-0", "agents-negative", "video-tau",
-        "votes-tau"])
+], ids=["video-seed", "votes-seed", "agents-0", "agents-negative", "rows-negative",
+        "video-tau", "votes-tau"])
 def test_option_errors_name_the_option(tmp_path, capsys, recwarn, command, named):
     # each used to exit 2 with numpy's text, or fail late naming a bound
     # constant instead of the option

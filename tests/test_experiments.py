@@ -404,9 +404,9 @@ def test_nonfinite_sensing_draw_is_named_by_the_run(monkeypatch):
 
 
 def test_video_scenario_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^start_col must lie in \[0, 6\], got 7$"):
         small_scenario(start_col=7)  # block would overhang
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^block_size must lie in \[1, 8\], got 9$"):
         small_scenario(block_size=9)
     with pytest.raises(ValueError):
         small_scenario(boundary="torus")
@@ -414,14 +414,15 @@ def test_video_scenario_validation():
         small_scenario(trajectory=((2, 0),))
     with pytest.raises(ValueError):
         small_scenario(trajectory=((1, 0), (1, 6)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^a leg direction must lie in \[0, 8\], got 9$"):
         small_scenario(trajectory=((1, 9),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^T must be an integer >= 1, got 0$"):
         small_scenario(T=0)
     for noise_std in (-0.1, np.inf, np.nan):
         with pytest.raises(ValueError, match="^noise_std must be finite"):
             small_scenario(noise_std=noise_std)
-    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
         small_scenario(seed=-1)
     data = generate_video(small_scenario())
     with pytest.raises(ValueError):
@@ -445,6 +446,23 @@ def test_round_index_must_be_an_integer():
                 call(t)
         with pytest.raises(ValueError, match=r"^t must lie in \[1, "):
             call(5.0)
+
+
+def test_integral_floats_and_numpy_integers_are_plain_ints():
+    # one integer rule: 5.0 and np.int64(1) are 5 and 1, down to the
+    # scenario's repr and every draw
+    floats = VideoScenario(T=5.0, rows=8.0, start_row=3.0, measurements=20.0)
+    ints = VideoScenario(T=5, rows=8, start_row=3, measurements=20)
+    assert repr(floats) == repr(ints)
+    a, b = generate_video(floats), generate_video(ints)
+    assert np.array_equal(a.frames, b.frames)
+    for t in range(1, 6):
+        assert np.array_equal(a.matrix(t), b.matrix(t))
+    stream, thetas = synthetic_votes(n_agents=4.0, T=5.0, seed=np.int64(1))
+    want, want_thetas = synthetic_votes(n_agents=4, T=5, seed=1)
+    assert np.array_equal(stream.votes, want.votes)
+    assert np.array_equal(thetas, want_thetas)
+    assert stream.label == want.label
 
 
 def test_votes_roundtrip(tmp_path):
@@ -514,7 +532,7 @@ def test_synthetic_votes_properties():
         synthetic_votes(init_scale=0.0)
     with pytest.raises(ValueError, match="sweeps"):
         synthetic_votes(n_agents=4, T=5, sweeps=0)
-    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
         synthetic_votes(n_agents=4, T=5, seed=-1)
     for alpha in (2, -0.5, float("nan")):
         with pytest.raises(ValueError, match=rf"^drift_alpha must lie in "

@@ -1,3 +1,4 @@
+import argparse
 import math
 import warnings
 from fractions import Fraction
@@ -14,6 +15,7 @@ from dynmd import (
     ConstantStep,
     DoublingStep,
     IdentityModel,
+    PixelShift,
     SquaredEuclidean,
     Unconstrained,
     audit_contraction,
@@ -23,7 +25,14 @@ from dynmd import (
     least_squares,
     moving_average,
 )
-from dynmd.experiments import VideoScenario
+from dynmd.experiments import (
+    VideoScenario,
+    VoteStream,
+    generate_video,
+    run_scenario,
+    synthetic_votes,
+)
+from dynmd.experiments.cli import cmd_audit_dynamics
 from dynmd.regret import _best_switching
 
 from conftest import sampled_constants
@@ -411,6 +420,7 @@ def test_nonfinite_parameters_are_rejected_by_name(bad):
         (lambda: DoublingStep(bad, 2, 1.0), "horizon0"),
         (lambda: DoublingStep(1, bad, 1.0), "growth"),
         (lambda: DoublingStep(1, 2, bad), "scale"),
+        (lambda: Ball(np.zeros(3), bad), "radius"),
     ]
     for make, name in cases:
         with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
@@ -432,6 +442,35 @@ _INTEGER_PARAMETERS = {
     "m-fixed_share_bound": lambda x: fixed_share_bound(3, x, 10, 0.1, 0.1),
     "T-fixed_share_bound": lambda x: fixed_share_bound(3, 1, x, 0.1, 0.1),
     "a leg start": lambda x: VideoScenario(trajectory=((1, 0), (x, 1))),
+    "a leg direction": lambda x: VideoScenario(trajectory=((1, 0), (2, x))),
+    "rows-VideoScenario": lambda x: VideoScenario(rows=x),
+    "cols-VideoScenario": lambda x: VideoScenario(cols=x),
+    "T-VideoScenario": lambda x: VideoScenario(T=x),
+    "measurements": lambda x: VideoScenario(measurements=x),
+    "seed-VideoScenario": lambda x: VideoScenario(seed=x),
+    "block_size": lambda x: VideoScenario(block_size=x),
+    "start_row": lambda x: VideoScenario(start_row=x),
+    "start_col": lambda x: VideoScenario(start_col=x),
+    "t-direction_at": lambda x: VideoScenario().direction_at(x),
+    "t-VideoData.matrix": lambda x: generate_video(VideoScenario(
+        rows=4, cols=4, block_size=2, start_row=0, T=2, measurements=3)).matrix(x),
+    "t-VoteStream.loss": lambda x: VoteStream(np.ones((2, 2))).loss(x),
+    "n_agents": lambda x: synthetic_votes(n_agents=x, T=2),
+    "T-synthetic_votes": lambda x: synthetic_votes(n_agents=2, T=x),
+    "sweeps": lambda x: synthetic_votes(n_agents=2, T=2, sweeps=x),
+    "burn_in": lambda x: synthetic_votes(n_agents=2, T=2, burn_in=x),
+    "seed-synthetic_votes": lambda x: synthetic_votes(n_agents=2, T=2, seed=x),
+    "direction": lambda x: PixelShift(x, 4, 4),
+    "rows-PixelShift": lambda x: PixelShift(0, x, 4),
+    "cols-PixelShift": lambda x: PixelShift(0, 4, x),
+    "shape-Unconstrained": lambda x: Unconstrained(x),
+    "shape-Unconstrained-sequence": lambda x: Unconstrained((2, x)),
+    "shape-Box": lambda x: Box(0.0, 1.0, shape=x),
+    "T-run_scenario": lambda x: run_scenario(None, x, []),
+    "seed-audit_contraction": lambda x: audit_contraction(
+        IdentityModel(), SquaredEuclidean(1.0), Unconstrained(2), seed=x),
+    "agents": lambda x: cmd_audit_dynamics(argparse.Namespace(
+        c=1.0, model="attraction", agents=x)),
 }
 
 
