@@ -124,10 +124,11 @@ def _write_outputs(out, result, evaluation, extra_meta):
 
 def cmd_run_video(args):
     opts = vars(args)
+    T = _as_integer(opts["t"], "t", 1)  # named as typed, not as the field T
     scenario = VideoScenario(
         rows=opts["rows"], cols=opts["cols"], block_size=opts["block_size"],
         start_row=opts["start_row"], start_col=opts["start_col"],
-        trajectory=parse_trajectory(opts["trajectory"]), T=opts["t"],
+        trajectory=parse_trajectory(opts["trajectory"]), T=T,
         measurements=opts["measurements"], noise_std=opts["noise_std"],
         seed=opts["seed"], boundary=opts["boundary"],
         identity_sensing=opts["identity_sensing"])
@@ -164,9 +165,11 @@ def cmd_run_votes(args):
         stream = load_votes(opts["votes"])
         T = stream.T
     else:
-        T = opts["t"]
+        # named as typed, not as the fields T and n_agents
+        T = _as_integer(opts["t"], "t", 1)
+        agents = _as_integer(opts["agents"], "agents", 1)
         stream, comparator = synthetic_votes(
-            n_agents=opts["agents"], T=T, drift_alpha=opts["drift_alpha"],
+            n_agents=agents, T=T, drift_alpha=opts["drift_alpha"],
             seed=opts["seed"], sweeps=opts["sweeps"],
             missing_prob=opts["missing_prob"], init_scale=opts["init_scale"])
     p = stream.n_agents

@@ -5,30 +5,31 @@ Sensing matrices are drawn on demand from per-round child seeds, so a long
 run never holds the whole (T, measurements, pixels) stack.  Observations
 are built lazily too: set-up stores the frames and the (T, measurements)
 noise block, and the round-t observation x_t = A_t frame_{t-1} + noise_{t-1}
-is formed from the one matrix that loss(t) draws, so a run draws each
+is formed from the one matrix drawn for round t, so a run draws each
 matrix once.  Frames are cheap and are stored for the whole horizon: frame
 t - 1 in the stack is the scene the round-t observation measured, and the
 extra final frame closes the comparator path whose deviations from each
 model the bound curves need.
 
-A matrix depends only on the seed and the round, never on the learner's
-play, so it is drawn ahead of time.  When round t's matrix is asked for,
-one worker thread draws the raw normals of rounds t+1 .. t+LOOKAHEAD while
-the caller runs its round; numpy's generator releases the interpreter lock
-while it draws.  A caller whose round is still being drawn does not wait
-idle: it claims a later round of the window that the worker has not
-started, and draws that round itself, until its own round is done or no
-round is left to claim.  Each matrix comes from its own child seed, so
-which thread draws it never changes its bits.  Every draw returns an array
-of its own, held as a future in a window keyed by round, so no later draw
-can write into a matrix already handed out.  The caller scales its round's
-array by 1/sqrt(measurements) in place, the same ufunc as the synchronous
-draw's division, so every matrix is bit-identical to _sensing_matrix.
-Round 1's matrix, drawn at set-up for the default l1 weight, enters the
-window as a finished draw.  Any other round with no pending draw (random
-access, a replay that restarts at round 1) is drawn synchronously.
-Identity sensing starts no thread: one read-only identity per VideoData
-serves every round.
+A sensing pair (A_t, x_t) depends only on the seed and the round, never on
+the learner's play, so it is built ahead of time.  When round t's pair is
+asked for, one worker thread builds the pairs of rounds t+1 .. t+LOOKAHEAD
+while the caller runs its round; numpy releases the interpreter lock while
+it draws and multiplies.  A caller whose round is still being built does
+not wait idle: it claims a later round of the window that the worker has
+not started, and builds that round itself, until its own round is done or
+no round is left to claim.  Whichever thread draws a round's normals also
+scales them by 1/sqrt(measurements) in place, the same ufunc as the
+synchronous draw's division, and forms x_t while the array is in its
+cache, so the caller gets a finished pair.  Each matrix comes from its own
+child seed, so which thread draws it never changes its bits, and every
+matrix is bit-identical to _sensing_matrix.  Every pair owns its arrays,
+held as a future in a window keyed by round, so no later draw can write
+into a pair already handed out.  Round 1's pair, built at set-up for the
+default l1 weight, enters the window as a finished one.  Any other round
+with no pending pair (random access, a replay that restarts at round 1) is
+built synchronously.  Identity sensing starts no thread: one read-only
+identity per VideoData serves every round.
 """
 
 import math
@@ -122,36 +123,49 @@ def _sensing_matrix(scenario, t):
     return _draw_raw(scenario, t) / math.sqrt(scenario.measurements)
 
 
+def _sensing_pair(scenario, t, frames, noise):
+    """(A_t, x_t) of round t: its normals scaled in place, then the
+    observation, formed while the matrix is still in this thread's cache.
+    Runs on the worker thread too, so besides _draw_raw it calls numpy
+    only."""
+    A = _draw_raw(scenario, t)
+    A /= math.sqrt(scenario.measurements)
+    return A, A @ frames[t - 1] + noise[t - 1]
+
+
 class _SensingLookahead:
-    """Holds {round: future of its raw draw} for the rounds (t, t + LOOKAHEAD]
-    after the last round t asked for, drawn on one worker thread.  The lock
-    serialises callers; each draw owns its array, so a draw that falls out
-    of the window is cancelled without waiting for it.
+    """Holds {round: future of its (A_t, x_t) pair} for the rounds
+    (t, t + LOOKAHEAD] after the last round t asked for, built on one
+    worker thread.  The lock serialises callers; each pair owns its arrays,
+    so a pair that falls out of the window is cancelled without waiting for
+    it.
 
     A caller blocked on its round claims a round the worker has not started
     (its future's cancel() succeeds) and puts a placeholder future in its
     place, marked running before the lock is released: another caller's
     window refresh then cannot cancel it, and a caller that needs that round
-    waits on the placeholder.  The placeholder gets the caller's draw, or
-    the error that draw raised.  The thread exits once the executor is
+    waits on the placeholder.  The placeholder gets the caller's pair, or
+    the error its draw raised.  The thread exits once the executor is
     garbage-collected with its VideoData, or at interpreter exit."""
 
-    def __init__(self, scenario):
+    def __init__(self, scenario, frames, noise):
         self.scenario = scenario
+        self._frames = frames
+        self._noise = noise
         self._lock = threading.Lock()
         self._window = {}
         self._executor = None
 
-    def hold(self, t, raw):
-        """Serve raw, round t's normals drawn at set-up, as a finished draw;
-        called before the VideoData reaches any caller."""
+    def hold(self, t, pair):
+        """Serve pair, round t's (A_t, x_t) built at set-up, as a finished
+        one; called before the VideoData reaches any caller."""
         from concurrent.futures import Future
         self._window[t] = future = Future()
-        future.set_result(raw)
+        future.set_result(pair)
 
     def _claim(self):
         """(round, placeholder) for the earliest round of the window whose
-        draw has not started, taken from the worker; None if there is none."""
+        pair has not started, taken from the worker; None if there is none."""
         from concurrent.futures import Future
         with self._lock:
             for r, pending in self._window.items():
@@ -161,8 +175,8 @@ class _SensingLookahead:
                     return r, placeholder
         return None
 
-    def matrix(self, t):
-        s = self.scenario
+    def pair(self, t):
+        s, frames, noise = self.scenario, self._frames, self._noise
         with self._lock:
             future = self._window.pop(t, None)
             ahead = range(t + 1, min(t + LOOKAHEAD, s.T) + 1)
@@ -173,27 +187,25 @@ class _SensingLookahead:
                 self._executor = ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="dynmd-sensing")
             window = {r: self._window.pop(r) if r in self._window
-                      else self._executor.submit(_draw_raw, s, r) for r in ahead}
+                      else self._executor.submit(_sensing_pair, s, r, frames, noise)
+                      for r in ahead}
             for stale in self._window.values():
                 stale.cancel()
             self._window = window
         if future is None:
-            raw = _draw_raw(s, t)
-        else:
-            while not future.done() and (claimed := self._claim()) is not None:
-                r, placeholder = claimed
-                try:
-                    placeholder.set_result(_draw_raw(s, r))
-                except Exception as exc:
-                    # round r's error belongs to round r's caller
-                    placeholder.set_exception(exc)
-                except BaseException as exc:
-                    # an interrupt reaches round r's caller and this one
-                    placeholder.set_exception(exc)
-                    raise
-            raw = future.result()
-        raw /= math.sqrt(s.measurements)
-        return raw
+            return _sensing_pair(s, t, frames, noise)
+        while not future.done() and (claimed := self._claim()) is not None:
+            r, placeholder = claimed
+            try:
+                placeholder.set_result(_sensing_pair(s, r, frames, noise))
+            except Exception as exc:
+                # round r's error belongs to round r's caller
+                placeholder.set_exception(exc)
+            except BaseException as exc:
+                # an interrupt reaches round r's caller and this one
+                placeholder.set_exception(exc)
+                raise
+        return future.result()
 
 
 @dataclass(frozen=True)
@@ -211,7 +223,7 @@ class VideoData:
             sensing = np.eye(self.n_pixels)
             sensing.flags.writeable = False
         else:
-            sensing = _SensingLookahead(self.scenario)
+            sensing = _SensingLookahead(self.scenario, self.frames, self.noise)
         object.__setattr__(self, "_sensing", sensing)
 
     @property
@@ -224,22 +236,26 @@ class VideoData:
 
     def matrix(self, t):
         """Sensing matrix of round t (1-based), regenerated from its seed;
-        starts the draws of the next LOOKAHEAD rounds."""
+        starts building the pairs of the next LOOKAHEAD rounds."""
         t = _as_integer(t, "t", 1, self.T)
         if self.scenario.identity_sensing:
             return self._sensing
-        return self._sensing.matrix(t)
+        return self._sensing.pair(t)[0]
 
     def loss(self, t, tau=None):
         """Round-t data-fit objective with the scenario's default l1 weight;
-        its observation is A_t frame_{t-1} + noise_{t-1} (loss(t).f.x).
-        The matrix is the program's own draw, so its entries are not checked
+        its observation is A_t frame_{t-1} + noise_{t-1} (loss(t).f.x),
+        which comes finished with A_t from the thread that drew it.  The
+        matrix is the program's own draw, so its entries are not checked
         each round: a non-finite one surfaces as the run's non-finite loss
         value, named with its round and expert."""
         tau = self.tau_default if tau is None else tau
-        t = _as_integer(t, "t", 1)
-        A = self.matrix(t)
-        x = A @ self.frames[t - 1] + self.noise[t - 1]
+        t = _as_integer(t, "t", 1, self.T)
+        if self.scenario.identity_sensing:
+            A = self._sensing
+            x = A @ self.frames[t - 1] + self.noise[t - 1]
+        else:
+            A, x = self._sensing.pair(t)
         return CompositeLoss(LeastSquaresLoss(A, x), L1Regularizer(tau))
 
     def comparator(self):
@@ -250,8 +266,8 @@ class VideoData:
 def generate_video(scenario):
     """Simulate the scenario; returns a VideoData with frames, observation
     noise, and the rounds where clipping bent the path away from its own
-    motion.  Of the sensing matrices only round 1's is drawn here, for the
-    default l1 weight; a first request for round 1 reuses that draw."""
+    motion.  Of the sensing pairs only round 1's (A_1, x_1) is built here,
+    for the default l1 weight; a first request for round 1 reuses it."""
     s = scenario
     wrap = s.boundary == "wrap"
     r, c = s.start_row, s.start_col
@@ -286,11 +302,14 @@ def generate_video(scenario):
     if not np.all(np.isfinite(noise)):
         raise ValueError(f"noise_std={s.noise_std!r} overflows the observation "
                          "noise: the noise block is not finite")
-    raw1 = None if s.identity_sensing else _draw_raw(s, 1)
-    A1 = np.eye(m) if raw1 is None else raw1 / math.sqrt(m)
-    tau_default = 0.01 * float(np.abs(A1.T @ (A1 @ frames[0] + noise[0])).max())
+    if s.identity_sensing:
+        A1 = np.eye(m)
+        x1 = A1 @ frames[0] + noise[0]
+    else:
+        A1, x1 = _sensing_pair(s, 1, frames, noise)
+    tau_default = 0.01 * float(np.abs(A1.T @ x1).max())
     data = VideoData(scenario=s, frames=frames, noise=noise,
                      clipped_steps=tuple(clipped), tau_default=tau_default)
-    if raw1 is not None:
-        data._sensing.hold(1, raw1)
+    if not s.identity_sensing:
+        data._sensing.hold(1, (A1, x1))
     return data

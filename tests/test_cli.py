@@ -157,7 +157,7 @@ def test_run_votes_rejects_bad_gibbs_sweeps(tmp_path, capsys):
 def test_run_votes_rejects_empty_synthetic_stream(tmp_path, capsys):
     assert main(["run-votes", "--agents", "0", "--t", "5",
                  "--out", str(tmp_path / "vv")]) == 2
-    assert "n_agents" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: agents must be an integer >= 1, got 0\n"
     assert not (tmp_path / "vv").exists()
 
 
@@ -246,12 +246,16 @@ def test_extreme_finite_parameters_are_clean_errors(tmp_path, capsys, recwarn,
     (["audit-dynamics", "--model", "attraction", "--agents", "-1"],
      ["agents must be an integer >= 1, got -1"]),
     (["audit-dynamics", "--rows", "-1"], ["rows must be an integer >= 1, got -1"]),
+    (VIDEO_ARGS + ["--t", "0"], ["error: t must be an integer >= 1, got 0"]),
+    (VOTES_SMALL + ["--t", "0"], ["error: t must be an integer >= 1, got 0"]),
+    (VOTES_SMALL + ["--agents", "-1"],
+     ["error: agents must be an integer >= 1, got -1"]),
     (VIDEO_ARGS + ["--tau", "1e300"],
      ["subgradient norm overflows at round t=1, comparator", "tau"]),
     (VOTES_SMALL + ["--tau", "1e300"],
      ["subgradient norm overflows at round t=1, comparator", "tau"]),
 ], ids=["video-seed", "votes-seed", "agents-0", "agents-negative", "rows-negative",
-        "video-tau", "votes-tau"])
+        "video-t", "votes-t", "votes-agents", "video-tau", "votes-tau"])
 def test_option_errors_name_the_option(tmp_path, capsys, recwarn, command, named):
     # each used to exit 2 with numpy's text, or fail late naming a bound
     # constant instead of the option
@@ -351,8 +355,10 @@ def test_run_votes_from_file_has_no_comparator(tmp_path):
     rows = rng.choice([-1, 1], size=(12, 4))
     votes.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
     out = tmp_path / "vv"
+    # --t and --agents size the synthetic stream only: a file run ignores them
     assert main(["run-votes", "--votes", str(votes), "--alphas", "0,0.01",
-                 "--m", "1", "--out", str(out)] + CONSTANT_STEP + ["0.2"]) == 0
+                 "--m", "1", "--t", "0", "--agents", "0",
+                 "--out", str(out)] + CONSTANT_STEP + ["0.2"]) == 0
     assert not (out / "regret.csv").exists()
     table = read_losses_csv(out / "losses.csv")
     assert "comparator" not in table

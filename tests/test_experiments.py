@@ -281,11 +281,18 @@ def test_replaced_video_data_draws_its_own_scenario():
                           _sensing_matrix(data.scenario, 2).view(np.uint64))
 
 
+def _assert_round_pair(data, t, A, x):
+    # the synchronous reference, bit for bit: A_t and A_t frame_{t-1} + noise_{t-1}
+    want = _sensing_matrix(data.scenario, t)
+    assert np.array_equal(A.view(np.uint64), want.view(np.uint64))
+    want_x = want @ data.frames[t - 1] + data.noise[t - 1]
+    assert np.array_equal(x.view(np.uint64), want_x.view(np.uint64))
+
+
 def test_round_one_matrix_is_drawn_once(monkeypatch):
-    # set-up draws round 1's matrix for the default l1 weight and loss(1)
+    # set-up builds round 1's pair for the default l1 weight and loss(1)
     # reuses it; the worker draws every later round once, ahead of its call
     scenario = small_scenario(T=50, seed=4)
-    want = [_sensing_matrix(scenario, t) for t in range(1, scenario.T + 1)]
     draw = video_module._draw_raw
     drawn = []
 
@@ -295,10 +302,14 @@ def test_round_one_matrix_is_drawn_once(monkeypatch):
 
     monkeypatch.setattr(video_module, "_draw_raw", counting)
     data = generate_video(scenario)
-    for t in range(1, data.T + 1):
-        A = data.loss(t).f.A
-        assert np.array_equal(A.view(np.uint64), want[t - 1].view(np.uint64))
+    assert drawn == [1]
+    A1, x1 = data._sensing._window[1].result()
+    kept = [data.loss(t).f for t in range(1, data.T + 1)]
+    assert kept[0].A is A1 and kept[0].x is x1
     assert sorted(drawn) == list(range(1, data.T + 1))
+    monkeypatch.undo()  # the reference draws are not counted
+    for t, f in enumerate(kept, start=1):
+        _assert_round_pair(data, t, f.A, f.x)
 
 
 def _calls_with_stalled_worker(monkeypatch, data, rounds, fail=False):
@@ -306,6 +317,7 @@ def _calls_with_stalled_worker(monkeypatch, data, rounds, fail=False):
     # a caller that only waits for the worker never returns: the calls run
     # on a helper thread joined with a timeout, and the stall is released
     # whatever happened.  With fail, the caller's first draw raises.
+    # got[t] is round t's (loss(t).f.A, loss(t).f.x), or the error it raised.
     draw = video_module._draw_raw
     caller_drew = threading.Event()
     drawn = []  # (round, drawn on the caller's thread)
@@ -327,7 +339,8 @@ def _calls_with_stalled_worker(monkeypatch, data, rounds, fail=False):
     def call():
         for t in rounds:
             try:
-                got[t] = data.matrix(t)
+                f = data.loss(t).f
+                got[t] = f.A, f.x
             except RuntimeError as exc:
                 got[t] = exc
 
@@ -348,11 +361,11 @@ def test_blocked_caller_draws_a_later_round_itself(monkeypatch):
     drawn, got = _calls_with_stalled_worker(monkeypatch, data,
                                             range(1, data.T + 1))
     assert any(by_caller for _, by_caller in drawn)
+    assert not all(by_caller for _, by_caller in drawn)
     # set-up drew round 1; every later round is drawn once, by either thread
     assert sorted(t for t, _ in drawn) == list(range(2, data.T + 1))
     for t in range(1, data.T + 1):
-        assert np.array_equal(got[t].view(np.uint64),
-                              _sensing_matrix(data.scenario, t).view(np.uint64))
+        _assert_round_pair(data, t, *got[t])
 
 
 def test_failed_caller_draw_reaches_the_caller_of_its_round(monkeypatch):
@@ -367,19 +380,16 @@ def test_failed_caller_draw_reaches_the_caller_of_its_round(monkeypatch):
     assert str(got[failed]) == f"draw failed at round {failed}"
     for t in range(1, data.T + 1):
         if t != failed:
-            assert np.array_equal(
-                got[t].view(np.uint64),
-                _sensing_matrix(data.scenario, t).view(np.uint64))
+            _assert_round_pair(data, t, *got[t])
 
 
 def test_matrices_handed_out_are_never_overwritten():
-    # each draw owns its array: keeping every matrix of a forward loop, none
-    # is changed by the draws that follow it
+    # each pair owns its arrays: keeping every matrix and observation of a
+    # forward loop, none is changed by the draws that follow it
     data = generate_video(small_scenario(T=12, seed=5))
-    kept = [data.matrix(t) for t in range(1, data.T + 1)]
-    for t, A in enumerate(kept, start=1):
-        assert np.array_equal(A.view(np.uint64),
-                              _sensing_matrix(data.scenario, t).view(np.uint64))
+    kept = [data.loss(t).f for t in range(1, data.T + 1)]
+    for t, f in enumerate(kept, start=1):
+        _assert_round_pair(data, t, f.A, f.x)
 
 
 def test_nonfinite_sensing_draw_is_named_by_the_run(monkeypatch):
